@@ -15,8 +15,10 @@
 //
 // The store file is polled (-watch); a new version written by a later
 // `gmreg-train -save` hot-swaps in without dropping in-flight requests.
-// Concurrent /predict requests are coalesced into micro-batches; when the
-// queue is full the server fast-fails with 503 instead of building backlog.
+// A /predict that finds a replica idle runs at once; requests that queue
+// behind busy replicas are coalesced into micro-batches of up to -max-batch.
+// When the queue is full the server fast-fails with 503 instead of building
+// backlog.
 //
 // /metrics exposes the serving series (request latency, coalesced batch
 // sizes, queue depth, shed counts, checkpoint swaps) plus the process-wide
@@ -53,7 +55,6 @@ func main() {
 		watch     = flag.Duration("watch", time.Second, "store file poll interval (0 disables hot reload)")
 		replicas  = flag.Int("replicas", 0, "inference replicas per model, i.e. concurrent forward passes — not gmreg-train's -workers (0 = half of GOMAXPROCS)")
 		maxBatch  = flag.Int("max-batch", 32, "max requests coalesced into one forward pass")
-		maxWait   = flag.Duration("max-wait", 2*time.Millisecond, "max time a batch waits to fill")
 		queueCap  = flag.Int("queue", 0, "admission queue bound per model (0 = 8×max-batch)")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-request deadline, queue wait included")
 		noPprof   = flag.Bool("no-pprof", false, "disable the /debug/pprof endpoints")
@@ -87,7 +88,6 @@ func main() {
 		Predictor: serve.Config{
 			Replicas: *replicas,
 			MaxBatch: *maxBatch,
-			MaxWait:  *maxWait,
 			QueueCap: *queueCap,
 		},
 		RequestTimeout: *timeout,

@@ -100,17 +100,6 @@ var registry = map[string]runner{
 		fmt.Fprintln(w, "wrote", HotpathJSONPath)
 		return nil
 	},
-	"serve": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunServe(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteServeJSON(ServeJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", ServeJSONPath)
-		return nil
-	},
 	"serveload": func(w io.Writer, s Scale, opt Options) error {
 		rep, err := RunServeLoad(w, s, opt.SLO)
 		if err != nil {

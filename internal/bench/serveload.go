@@ -24,13 +24,12 @@ import (
 // The serveload experiment measures a real in-process gmreg-serve under
 // OPEN-loop load: Poisson arrivals at a fixed offered rate over loopback
 // TCP, so the generator keeps sending whether or not the server keeps up.
-// Unlike the closed-loop serve experiment (whose clients wait for each
-// response before sending the next, hiding queueing delay), open-loop
-// latency is measured from each request's *scheduled* arrival time — the
-// wrk2-style correction for coordinated omission. The sweep walks offered
-// QPS up through the server's calibrated capacity and reports p50/p99/p999
-// plus the highest offered rate that still met the latency SLO. Results
-// land in BENCH_serveload.json.
+// Unlike a closed loop (whose clients wait for each response before sending
+// the next, hiding queueing delay), open-loop latency is measured from each
+// request's *scheduled* arrival time — the wrk2-style correction for
+// coordinated omission. The sweep walks offered QPS up through the server's
+// calibrated capacity and reports p50/p99/p999 plus the highest offered rate
+// that still met the latency SLO. Results land in BENCH_serveload.json.
 
 // ServeLoadCase is one offered-rate measurement.
 type ServeLoadCase struct {
@@ -110,7 +109,6 @@ func RunServeLoad(w io.Writer, s Scale, slo time.Duration) (*ServeLoadReport, er
 		Predictor: serve.Config{
 			Replicas: replicas,
 			MaxBatch: 32,
-			MaxWait:  500 * time.Microsecond,
 			QueueCap: 4 * workers,
 		},
 		MaxInflight: 4 * workers,
@@ -316,6 +314,14 @@ func runOpenLoopCase(url string, client *http.Client, body []byte, rate float64,
 		c.MaxMs = float64(all[len(all)-1]) / float64(time.Millisecond)
 	}
 	return c, nil
+}
+
+func percentileMs(sorted []time.Duration, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := int(q * float64(len(sorted)-1))
+	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
 // postPredict issues one /predict and drains the response so the connection

@@ -203,10 +203,16 @@ func TestPredictConcurrentWithSwapRace(t *testing.T) {
 func TestPredictTimeoutAbandonsBuffers(t *testing.T) {
 	srv, _ := newCoreServer(t, ServerConfig{
 		RequestTimeout: time.Nanosecond,
-		// A long gather window keeps the single request waiting in the
-		// batch so the deadline deterministically fires first.
-		Predictor: Config{Replicas: 1, MaxBatch: 8, MaxWait: 200 * time.Millisecond},
+		Predictor:      Config{Replicas: 1, MaxBatch: 8},
 	})
+	p, _, err := srv.predictor("mlp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Holding the replica keeps the request waiting, so the deadline
+	// deterministically fires first.
+	release := holdReplicas(p)
+	defer release()
 	wb := getWireBuf()
 	status, msg, abandoned := srv.servePredict(context.Background(), wb, bytes.NewReader(predictBody(t)))
 	if status != http.StatusGatewayTimeout || msg != "prediction timed out" {

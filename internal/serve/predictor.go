@@ -34,9 +34,7 @@ type Config struct {
 	// MaxBatch caps how many requests one Forward pass coalesces.
 	// Defaults to 32.
 	MaxBatch int
-	// MaxWait bounds how long a batch waits for co-travellers after its
-	// first request arrives. Defaults to 2ms; negative disables waiting
-	// (a batch takes only what is already queued).
+	// Deprecated: batches never wait; MaxWait is ignored.
 	MaxWait time.Duration
 	// QueueCap bounds the admission queue; requests beyond it fast-fail
 	// with ErrOverloaded. Defaults to 8×MaxBatch.
@@ -53,11 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	} else if c.MaxWait < 0 {
-		c.MaxWait = 0
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8 * c.MaxBatch
@@ -123,10 +116,12 @@ type replicaSet struct {
 }
 
 // Predictor serves one model key: a micro-batching queue in front of a pool
-// of network replicas. Concurrent Predict calls are coalesced into single
-// Forward passes (bounded batch size and wait window); the queue is bounded
-// with fast-fail admission control; Close drains queued requests before
-// returning. Hot-swapping to a new checkpoint version never drops requests.
+// of network replicas. Batching is work-conserving: a request reaching an
+// idle replica runs at once, and requests that queue behind busy replicas
+// are coalesced into single Forward passes (up to MaxBatch); the queue is
+// bounded with fast-fail admission control; Close drains queued requests
+// before returning. Hot-swapping to a new checkpoint version never drops
+// requests.
 type Predictor struct {
 	cfg  Config
 	spec models.Spec
@@ -279,80 +274,51 @@ func (p *Predictor) Close() {
 	p.wg.Wait()
 }
 
-// runExecutor is one batch loop: take the oldest queued request, gather
-// co-travellers up to MaxBatch/MaxWait, run one Forward on an acquired
-// replica, distribute responses. A closed queue still yields its buffered
+// runExecutor is one work-conserving batch loop: take the oldest queued
+// request, acquire a replica, then add whatever is already queued (up to
+// MaxBatch) without waiting, run one Forward and distribute responses.
+// Batches grow only while the replica is busy, which is the only time
+// coalescing saves anything; requests that arrive meanwhile, e.g. right
+// after a Swap, join the batch. A closed queue still yields its buffered
 // requests, so drain comes for free.
 func (p *Predictor) runExecutor() {
 	defer p.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	batch := make([]*request, 0, p.cfg.MaxBatch)
-	for {
+	for open := true; open; {
 		first, ok := <-p.queue
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], first)
-		open := p.gather(&batch, timer)
-		p.execute(batch)
-		if !open {
-			return
-		}
+		rs := p.pool.Load()
+		net := <-rs.replicas
+		batch, open = p.drain(append(batch[:0], first))
+		p.execute(rs, net, batch)
 	}
 }
 
-// gather fills batch from the queue until MaxBatch, MaxWait, or queue close.
-// It reports whether the queue is still open.
-func (p *Predictor) gather(batch *[]*request, timer *time.Timer) bool {
-	if p.cfg.MaxBatch <= 1 {
-		return true
-	}
-	if p.cfg.MaxWait == 0 {
-		for len(*batch) < p.cfg.MaxBatch {
-			select {
-			case r, ok := <-p.queue:
-				if !ok {
-					return false
-				}
-				*batch = append(*batch, r)
-			default:
-				return true
-			}
-		}
-		return true
-	}
-	timer.Reset(p.cfg.MaxWait)
-	for len(*batch) < p.cfg.MaxBatch {
+// drain appends already-queued requests to batch up to MaxBatch without
+// blocking. It reports whether the queue is still open.
+func (p *Predictor) drain(batch []*request) ([]*request, bool) {
+	for len(batch) < p.cfg.MaxBatch {
 		select {
 		case r, ok := <-p.queue:
 			if !ok {
-				stopTimer(timer)
-				return false
+				return batch, false
 			}
-			*batch = append(*batch, r)
-		case <-timer.C:
-			return true // timer already drained by the receive
+			batch = append(batch, r)
+		default:
+			return batch, true
 		}
 	}
-	stopTimer(timer)
-	return true
+	return batch, true
 }
 
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		<-t.C
-	}
-}
-
-// execute runs one coalesced Forward pass and distributes the per-request
-// results. The input tensor is arena-pooled and each softmax is written into
-// the request's caller-owned probs buffer, so a steady-state pass allocates
-// nothing. All reads of the replica's output buffer happen before the
-// replica is released.
-func (p *Predictor) execute(batch []*request) {
+// execute runs one coalesced Forward pass on net, a replica acquired from
+// rs, and distributes the per-request results. The input tensor is
+// arena-pooled and each softmax is written into the request's caller-owned
+// probs buffer, so a steady-state pass allocates nothing. All reads of the
+// replica's output buffer happen before the replica is released.
+func (p *Predictor) execute(rs *replicaSet, net *nn.Network, batch []*request) {
 	sent := 0
 	defer func() {
 		if r := recover(); r != nil {
@@ -365,14 +331,12 @@ func (p *Predictor) execute(batch []*request) {
 			}
 		}
 	}()
-	rs := p.pool.Load()
 	n := len(batch)
 	per := p.spec.NumFeatures()
 	in := tensor.DefaultArena.Get(p.spec.InputShape(n)...)
 	for i, req := range batch {
 		copy(in.Data[i*per:(i+1)*per], req.x)
 	}
-	net := <-rs.replicas
 	out := net.Forward(in, false)
 	classes := out.Shape[len(out.Shape)-1]
 	for i, req := range batch {

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"gmreg/internal/models"
+	"gmreg/internal/nn"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
 )
@@ -62,11 +65,46 @@ func testInputs(n int) [][]float64 {
 	return xs
 }
 
+// holdReplicas takes every replica of p's current set, so each executor
+// stalls after taking its first request and later arrivals stay queued.
+// The returned func gives the replicas back; calls after the first are
+// no-ops, so a test can both defer it and call it.
+func holdReplicas(p *Predictor) (release func()) {
+	rs := p.pool.Load()
+	held := make([]*nn.Network, p.cfg.Replicas)
+	for i := range held {
+		held[i] = <-rs.replicas
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, net := range held {
+				rs.replicas <- net
+			}
+		})
+	}
+}
+
+// waitQueued blocks until the predictor has admitted n requests and every
+// executor has taken its first one, i.e. the rest sit in the queue.
+func waitQueued(t *testing.T, p *Predictor, n int) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for p.Stats().Requests < int64(n) || p.QueueDepth() > n-p.cfg.Replicas {
+		select {
+		case <-deadline:
+			t.Fatalf("admitted %d of %d requests, %d still queued", p.Stats().Requests, n, p.QueueDepth())
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestPredictCoalescesAndHotSwapsUnderLoad is the subsystem's core guarantee,
 // run under -race: N concurrent predicts through the micro-batcher while a
 // hot-swap lands mid-flight. No request is dropped, every response is
-// bit-identical to a serial forward under the version it reports, and the
-// forward count proves coalescing (< N).
+// bit-identical to a serial forward under the version it reports, and
+// requests queued behind busy replicas coalesce into full batches.
 func TestPredictCoalescesAndHotSwapsUnderLoad(t *testing.T) {
 	const n = 200
 	ckpt1, ckpt2 := makeCheckpoint(t, 1), makeCheckpoint(t, 2)
@@ -75,7 +113,8 @@ func TestPredictCoalescesAndHotSwapsUnderLoad(t *testing.T) {
 	m1 := &Model{Key: "m", Version: v1, Ckpt: ckpt1}
 	m2 := &Model{Key: "m", Version: v2, Ckpt: ckpt2}
 
-	p, err := NewPredictor(m1, Config{Replicas: 2, MaxBatch: 8, MaxWait: time.Millisecond, QueueCap: n})
+	cfg := Config{Replicas: 2, MaxBatch: 8, QueueCap: n}
+	p, err := NewPredictor(m1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +127,12 @@ func TestPredictCoalescesAndHotSwapsUnderLoad(t *testing.T) {
 		want["h2"][i] = predictSerial(t, ckpt2, x)
 	}
 
+	// With the v1 replicas held, the whole burst queues up and the swap
+	// lands while every request is in flight: the executors' first batches
+	// finish on the v1 replicas they are waiting for, later batches run on
+	// v2.
+	release := holdReplicas(p)
+	defer release() // before Close, should a check below fail early
 	results := make([]Result, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -97,17 +142,12 @@ func TestPredictCoalescesAndHotSwapsUnderLoad(t *testing.T) {
 			defer wg.Done()
 			results[i], errs[i] = p.Predict(context.Background(), xs[i])
 		}(i)
-		if i == n/2 {
-			// Let at least one v1 batch complete so the swap is genuinely
-			// mid-flight and responses mix versions.
-			for p.Stats().Forwards == 0 {
-				time.Sleep(50 * time.Microsecond)
-			}
-			if err := p.Swap(m2); err != nil {
-				t.Error(err)
-			}
-		}
 	}
+	waitQueued(t, p, n)
+	if err := p.Swap(m2); err != nil {
+		t.Fatal(err)
+	}
+	release()
 	wg.Wait()
 
 	seen := map[string]int{}
@@ -134,13 +174,40 @@ func TestPredictCoalescesAndHotSwapsUnderLoad(t *testing.T) {
 	if st.Requests != n {
 		t.Fatalf("admitted %d requests, want %d", st.Requests, n)
 	}
-	if st.Forwards >= n {
-		t.Fatalf("no coalescing: %d forwards for %d requests", st.Forwards, n)
+	// Only each executor's last batch can come up short of MaxBatch.
+	if limit := int64((n+cfg.MaxBatch-1)/cfg.MaxBatch + cfg.Replicas); st.Forwards > limit {
+		t.Fatalf("weak coalescing: %d forwards for %d queued requests, want ≤ %d", st.Forwards, n, limit)
 	}
 	if seen["h1"] == 0 || seen["h2"] == 0 {
 		t.Fatalf("responses do not mix versions across the swap: %v", seen)
 	}
 	t.Logf("coalesced %d requests into %d forwards; versions served: %v", n, st.Forwards, seen)
+}
+
+// TestIdlePredictNeverWaits pins work-conserving batching: a lone request
+// on an idle predictor runs at once, even when the deprecated MaxWait asks
+// for an hour-long batch window — directly and through the /predict core.
+func TestIdlePredictNeverWaits(t *testing.T) {
+	const budget = 100 * time.Millisecond
+	cfg := Config{Replicas: 1, MaxBatch: 32, MaxWait: time.Hour}
+	m := &Model{Key: "m", Version: store.Version{Hash: "h", Seq: 1}, Ckpt: makeCheckpoint(t, 1)}
+	p, err := NewPredictor(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	if _, err := p.Predict(ctx, testInputs(1)[0]); err != nil {
+		t.Fatalf("idle Predict: %v, want a result within %v", err, budget)
+	}
+
+	srv, _ := newCoreServer(t, ServerConfig{Predictor: cfg, RequestTimeout: budget})
+	wb := getWireBuf()
+	if status, msg, _ := srv.servePredict(context.Background(), wb, bytes.NewReader(predictBody(t))); status != http.StatusOK {
+		t.Fatalf("idle /predict: status %d %q, want 200 within %v", status, msg, budget)
+	}
+	putWireBuf(wb)
 }
 
 func TestPredictorAdmissionControl(t *testing.T) {
@@ -153,8 +220,7 @@ func TestPredictorAdmissionControl(t *testing.T) {
 	// Hold the only replica: the executor stalls acquiring it, so the queue
 	// backs up. At most QueueCap+1 requests can be in flight; the rest must
 	// fast-fail with ErrOverloaded rather than block.
-	rs := p.pool.Load()
-	net := <-rs.replicas
+	release := holdReplicas(p)
 
 	const k = 3 // QueueCap + 2
 	x := testInputs(1)[0]
@@ -174,7 +240,7 @@ func TestPredictorAdmissionControl(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	rs.replicas <- net
+	release()
 
 	var shed, served int
 	for i := 0; i < k; i++ {
@@ -202,8 +268,7 @@ func TestPredictorGracefulDrain(t *testing.T) {
 
 	// Stall the executor, queue up work, then Close: everything already
 	// admitted must still get a real response.
-	rs := p.pool.Load()
-	net := <-rs.replicas
+	release := holdReplicas(p)
 
 	const k = 8
 	xs := testInputs(k)
@@ -218,13 +283,11 @@ func TestPredictorGracefulDrain(t *testing.T) {
 		}(i)
 	}
 	admitted.Wait()
-	for p.Stats().Requests < k {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, p, k)
 
 	closed := make(chan struct{})
 	go func() { p.Close(); close(closed) }()
-	rs.replicas <- net
+	release()
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
