@@ -149,11 +149,12 @@ func priorLabel(f string) string {
 	return f
 }
 
-// effectiveShard mirrors the trainers' shard-size defaulting: an explicit
-// -shard wins; otherwise dist.Network and the distnet coordinator split the
-// batch over the replica/trainer count, and the sequential trainer runs the
-// whole batch as one shard. (The trainers additionally clamp to the batch
-// after it is clamped to the dataset size; tiny datasets should pin -shard.)
+// effectiveShard is the shard size the selected network trainer will use
+// (train.EffectiveShardSize at its data-parallel width): an explicit -shard
+// wins; otherwise dist.Network and the distnet coordinator split the batch
+// over the replica/trainer count, and the sequential trainer runs the whole
+// batch as one shard. (The trainers clamp the batch to the dataset size
+// first; tiny datasets should pin -shard.)
 func effectiveShard(f runFlags) int {
 	width := 1
 	switch {
@@ -162,12 +163,5 @@ func effectiveShard(f runFlags) int {
 	case f.Workers > 1:
 		width = f.Workers
 	}
-	ss := f.Shard
-	if ss <= 0 {
-		ss = (f.Batch + width - 1) / width
-	}
-	if ss > f.Batch {
-		ss = f.Batch
-	}
-	return ss
+	return train.EffectiveShardSize(f.Batch, f.Shard, width)
 }

@@ -24,8 +24,9 @@
 // -reg are mutually exclusive; -resume rejects checkpoints trained under a
 // different prior family.
 //
-// -workers N (CIFAR only) trains data-parallel via dist.Network: each
-// minibatch is sharded across N model replicas running concurrently, with a
+// -workers N trains a network model (-dataset cifar, or -model mlp on a
+// tabular dataset) data-parallel via dist.Network: each minibatch is
+// sharded across N model replicas running concurrently, with a
 // deterministic gradient reduction (see DESIGN.md §8). -shard pins the
 // micro-shard size so results are bit-identical across worker counts;
 // -prefetch overlaps batch assembly with compute.
@@ -227,7 +228,6 @@ func trainNetwork(netw *nn.Network, set *data.ImageSet, spec models.Spec, cfg tr
 			Addr:        nc.Coordinator,
 			Spec:        spec,
 			MinTrainers: nc.Trainers,
-			Prefetch:    cfg.Prefetch,
 			SGD:         cfg,
 			SnapshotDir: nc.SnapshotDir,
 			Stats:       stats,
@@ -240,7 +240,7 @@ func trainNetwork(netw *nn.Network, set *data.ImageSet, spec models.Spec, cfg tr
 		return res, nil
 	case nc.Workers > 1:
 		fmt.Printf("data-parallel: %d replicas\n", nc.Workers)
-		return dist.Network(netw, set, dist.NetConfig{Replicas: nc.Workers, Prefetch: cfg.Prefetch, SGD: cfg}, factory)
+		return dist.Network(netw, set, dist.NetConfig{Replicas: nc.Workers, SGD: cfg}, factory)
 	default:
 		return train.Network(netw, set, cfg, factory)
 	}

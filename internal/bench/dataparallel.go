@@ -84,7 +84,6 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 		for _, prefetch := range []bool{false, true} {
 			cfg := dist.NetConfig{
 				Replicas: replicas,
-				Prefetch: prefetch,
 				SGD: train.SGDConfig{
 					LearningRate: 0.001,
 					Momentum:     0.9,
@@ -92,6 +91,7 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 					BatchSize:    batch,
 					Seed:         s.Seed,
 					ShardSize:    rep.ShardSize,
+					Prefetch:     prefetch,
 				},
 			}
 			net := models.AlexCIFAR10(spec.Channels, size, tensor.NewRNG(s.Seed))

@@ -17,7 +17,6 @@ package dist
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"gmreg/internal/data"
 	"gmreg/internal/models"
@@ -50,13 +49,6 @@ func (c Config) Validate() error {
 	return c.SGD.Validate()
 }
 
-// Result bundles the trained model, the server-side regularizer and history.
-type Result struct {
-	Model       *models.LogisticRegression
-	Regularizer reg.Regularizer
-	History     *train.History
-}
-
 // shardGrad is one worker's contribution to a global step.
 type shardGrad struct {
 	gw   []float64
@@ -65,107 +57,56 @@ type shardGrad struct {
 	n    int
 }
 
-// LogReg trains logistic regression with synchronous data-parallel SGD. The
-// parameter server owns the weights and the regularizer; workers compute
-// shard gradients concurrently against a read-only snapshot of the weights
-// for each global step.
-func LogReg(task *data.Task, trainRows []int, cfg Config, factory reg.Factory) (*Result, error) {
+// LogReg trains logistic regression with synchronous data-parallel SGD on
+// train.LogRegLoop, the epoch loop train.LogReg runs: the parameter server
+// owns the weights and the regularizer; each global step the workers
+// compute shard gradients concurrently against a read-only snapshot of the
+// weights, and the server averages them before its single update. A
+// checkpoint resumes bit-identically at the worker count that wrote it.
+func LogReg(task *data.Task, trainRows []int, cfg Config, factory reg.Factory) (*train.LogRegResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(trainRows) == 0 {
-		return nil, fmt.Errorf("dist: no training rows")
-	}
-	m := task.NumFeatures()
-	rng := tensor.NewRNG(cfg.SGD.Seed)
-	const initStd = 0.1
-	model := models.NewLogisticRegression(m, initStd, rng)
-	r := factory(m, initStd)
-
-	batch := cfg.SGD.BatchSize
-	if batch > len(trainRows) {
-		batch = len(trainRows)
-	}
-	nBatches := (len(trainRows) + batch - 1) / batch
-	if ea, ok := r.(train.EpochAware); ok {
-		ea.SetBatchesPerEpoch(nBatches)
-	}
-	regScale := 1 / float64(len(trainRows))
-
-	greg := make([]float64, m)
-	agg := make([]float64, m)
-	vel := make([]float64, m)
-	var velB float64
-	hist := &train.History{}
-	rows := append([]int(nil), trainRows...)
-
 	results := make([]shardGrad, cfg.Workers)
 	for w := range results {
-		results[w].gw = make([]float64, m)
+		results[w].gw = make([]float64, task.NumFeatures())
 	}
-
-	start := time.Now()
-	for epoch := 0; epoch < cfg.SGD.Epochs; epoch++ {
-		rng.ShuffleInts(rows)
-		var epochLoss float64
-		for b := 0; b < nBatches; b++ {
-			lo, hi := b*batch, (b+1)*batch
-			if hi > len(rows) {
-				hi = len(rows)
+	gather := func(model *models.LogisticRegression, global []int, agg []float64) (float64, float64) {
+		// Scatter: split the global batch across workers. Empty shards
+		// (a ragged final batch on many workers) contribute nothing to
+		// the gather, so they don't get a goroutine.
+		var wg sync.WaitGroup
+		for w := range results {
+			shard := global[w*len(global)/cfg.Workers : (w+1)*len(global)/cfg.Workers]
+			results[w].n = len(shard)
+			if len(shard) == 0 {
+				continue
 			}
-			global := rows[lo:hi]
-			// Scatter: split the global batch across workers. Empty shards
-			// (a ragged final batch on many workers) contribute nothing to
-			// the gather, so they don't get a goroutine.
-			var wg sync.WaitGroup
-			for w := 0; w < cfg.Workers; w++ {
-				shard := global[w*len(global)/cfg.Workers : (w+1)*len(global)/cfg.Workers]
-				results[w].n = len(shard)
-				if len(shard) == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(w int, shard []int) {
-					defer wg.Done()
-					res := &results[w]
-					res.loss, res.gb = model.LossGrad(task.X, task.Y, shard, res.gw)
-				}(w, shard)
-			}
-			wg.Wait()
-			// Gather: average shard gradients weighted by shard size, so the
-			// aggregate equals the sequential batch-mean gradient.
-			for i := range agg {
-				agg[i] = 0
-			}
-			var aggB, loss float64
-			total := 0
-			for w := range results {
-				if results[w].n == 0 {
-					continue
-				}
-				frac := float64(results[w].n)
-				tensor.Axpy(frac, results[w].gw, agg)
-				aggB += frac * results[w].gb
-				loss += frac * results[w].loss
-				total += results[w].n
-			}
-			inv := 1 / float64(total)
-			tensor.Scale(inv, agg)
-			aggB *= inv
-			epochLoss += loss * inv
-			// Server-side regularization and update.
-			r.Grad(model.W, greg)
-			tensor.Axpy(regScale, greg, agg)
-			lr := cfg.SGD.LearningRate
-			for i := range vel {
-				vel[i] = cfg.SGD.Momentum*vel[i] - lr*agg[i]
-				model.W[i] += vel[i]
-			}
-			velB = cfg.SGD.Momentum*velB - lr*aggB
-			model.B += velB
+			wg.Add(1)
+			go func(res *shardGrad, shard []int) {
+				defer wg.Done()
+				res.loss, res.gb = model.LossGrad(task.X, task.Y, shard, res.gw)
+			}(&results[w], shard)
 		}
-		hist.EpochLoss = append(hist.EpochLoss, epochLoss/float64(nBatches))
-		hist.EpochTime = append(hist.EpochTime, time.Since(start))
+		wg.Wait()
+		// Gather: average shard gradients weighted by shard size, so the
+		// aggregate equals the sequential batch-mean gradient.
+		clear(agg)
+		var aggB, loss float64
+		total := 0
+		for _, res := range results {
+			if res.n == 0 {
+				continue
+			}
+			frac := float64(res.n)
+			tensor.Axpy(frac, res.gw, agg)
+			aggB += frac * res.gb
+			loss += frac * res.loss
+			total += res.n
+		}
+		inv := 1 / float64(total)
+		tensor.Scale(inv, agg)
+		return loss * inv, aggB * inv
 	}
-	return &Result{Model: model, Regularizer: r, History: hist}, nil
+	return train.LogRegLoop(task, trainRows, cfg.SGD, factory, cfg.Workers, gather)
 }

@@ -62,7 +62,6 @@ func tinyBNConv(seed uint64) *nn.Network {
 func netCfg(replicas int, prefetch bool) NetConfig {
 	return NetConfig{
 		Replicas: replicas,
-		Prefetch: prefetch,
 		SGD: train.SGDConfig{
 			LearningRate: 0.05,
 			Momentum:     0.9,
@@ -70,6 +69,7 @@ func netCfg(replicas int, prefetch bool) NetConfig {
 			BatchSize:    16,
 			Seed:         9,
 			ShardSize:    4, // pinned: R-independent canonical partition
+			Prefetch:     prefetch,
 		},
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"gmreg/internal/serve"
 	"gmreg/internal/store"
 	"gmreg/internal/tensor"
+	"gmreg/internal/train"
 )
 
 // Config tunes one online training run.
@@ -224,9 +225,7 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 	defer pf.Close()
 
 	gw := make([]float64, m)
-	greg := make([]float64, m)
-	vel := make([]float64, m)
-	var velB float64
+	vel := train.NewLogRegMomentum(m)
 	rows := make([][]float64, 0, cfg.Batch)
 	// LossGrad indexes a whole dataset through a row list; each stream batch
 	// is its own dataset, so the row list is just 0..n-1.
@@ -247,19 +246,11 @@ func Run(ctx context.Context, src Source, cfg Config) (*Result, error) {
 			rows = append(rows, x.Data[i*m:(i+1)*m])
 		}
 		loss, gb := model.LossGrad(rows, y, rowIdx[:n], gw)
-		prior.Grad(model.W, greg)
 		// The MAP objective weights the prior by 1/N; online, N is the
 		// evidence so far, so regularization fades as the stream grows —
 		// and re-tightens only through the mixture itself adapting.
 		res.Samples += n
-		regScale := 1 / float64(res.Samples)
-		tensor.Axpy(regScale, greg, gw)
-		for i := range vel {
-			vel[i] = cfg.Momentum*vel[i] - cfg.LR*gw[i]
-			model.W[i] += vel[i]
-		}
-		velB = cfg.Momentum*velB - cfg.LR*gb
-		model.B += velB
+		vel.Step(model, prior, gw, gb, 1/float64(res.Samples), cfg.LR, cfg.Momentum)
 		res.Steps++
 		res.LastLoss = loss
 		stepsSincePublish++
