@@ -2,10 +2,13 @@ package dist
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gmreg/internal/core"
 	"gmreg/internal/data"
+	"gmreg/internal/obs"
 	"gmreg/internal/reg"
 	"gmreg/internal/train"
 )
@@ -138,6 +141,69 @@ func TestGMStepsOncePerGlobalIteration(t *testing.T) {
 	want := cfg.SGD.Epochs * nBatches // default schedule: every iteration
 	if e != want {
 		t.Fatalf("GM ran %d E-steps, want %d (one per global step)", e, want)
+	}
+}
+
+// epochSink counts the per-epoch events a trainer emits.
+type epochSink struct{ epochs []int }
+
+func (s *epochSink) Emit(e obs.Event) {
+	if ev, ok := e.(obs.Epoch); ok {
+		s.epochs = append(s.epochs, ev.Epoch)
+	}
+}
+
+// TestLogRegHonoursSGDConfig pins dist.LogReg to the SGDConfig features it
+// shares with train.LogReg: AfterEpoch stops training early, the sink gets
+// one epoch event per trained epoch, the checkpoint policy writes its files
+// and the learning-rate schedule changes the result.
+func TestLogRegHonoursSGDConfig(t *testing.T) {
+	task, err := data.LoadUCI("hepatitis", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]int, task.NumSamples())
+	for i := range rows {
+		rows[i] = i
+	}
+
+	cfg := distCfg(3)
+	dir := t.TempDir()
+	sink := &epochSink{}
+	cfg.SGD.AfterEpoch = func(epoch int, _ float64) bool { return epoch < 1 } // stop after 2 epochs
+	cfg.SGD.Ckpt = &train.CheckpointPolicy{Every: 1, Dir: dir}
+	cfg.SGD.Sink = sink
+	res, err := LogReg(task, rows, cfg, gmFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(res.History.EpochLoss); got != 2 {
+		t.Errorf("AfterEpoch stop after 2 epochs: history has %d epochs", got)
+	}
+	if len(sink.epochs) != 2 || sink.epochs[0] != 0 || sink.epochs[1] != 1 {
+		t.Errorf("sink saw epoch events %v, want [0 1]", sink.epochs)
+	}
+	for _, epoch := range []int{1, 2} {
+		if _, err := os.Stat(filepath.Join(dir, train.CheckpointName(epoch))); err != nil {
+			t.Errorf("checkpoint after epoch %d: %v", epoch, err)
+		}
+	}
+
+	base, err := LogReg(task, rows, distCfg(3), gmFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decay := distCfg(3)
+	decay.SGD.LRDecayEvery, decay.SGD.LRDecayFactor = 2, 0.5
+	decayed, err := LogReg(task, rows, decay, gmFactory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decayed.History.EpochLoss[1] != base.History.EpochLoss[1] {
+		t.Errorf("LR decay from epoch 2 changed epoch 1's loss")
+	}
+	if decayed.Model.W[0] == base.Model.W[0] && decayed.Model.B == base.Model.B {
+		t.Errorf("LRDecayEvery left the trained model unchanged")
 	}
 }
 

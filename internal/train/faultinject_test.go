@@ -5,9 +5,9 @@ package train_test
 // checkpoint must be bit-identical to the uninterrupted run — final weights
 // compared with ==, final checkpoint files compared byte for byte, and the
 // deterministic telemetry stream reassembling exactly. Exercised for
-// train.LogReg, train.Network (with batch norm), and dist.Network at worker
-// widths 1 and 4. The external test package lets the harness drive dist,
-// which imports train.
+// train.LogReg, dist.LogReg, train.Network (with batch norm), and
+// dist.Network at worker widths 1 and 4. The external test package lets
+// the harness drive dist, which imports train.
 
 import (
 	"bytes"
@@ -274,29 +274,44 @@ func TestDistFaultInjectResume(t *testing.T) {
 	}
 }
 
-// TestLogRegFaultInjectResume covers the tabular trainer, plain and with the
-// Barzilai–Borwein schedule (whose cross-epoch state rides in State.BB).
+// TestLogRegFaultInjectResume covers the tabular trainers: train.LogReg,
+// plain and with the Barzilai–Borwein schedule (whose cross-epoch state
+// rides in State.BB), and dist.LogReg killed and resumed at the same worker
+// count.
 func TestLogRegFaultInjectResume(t *testing.T) {
 	task := data.GenerateHospFA(data.DefaultHospFA(), 5)
 	rows := make([]int, task.NumSamples())
 	for i := range rows {
 		rows[i] = i
 	}
-	for _, bb := range []bool{false, true} {
-		t.Run(fmt.Sprintf("bb-%v", bb), func(t *testing.T) {
+	sequential := func(cfg train.SGDConfig) (*train.LogRegResult, error) {
+		return train.LogReg(task, rows, cfg, gmreg.GMFactory())
+	}
+	for _, tc := range []struct {
+		name string
+		bb   bool
+		run  func(train.SGDConfig) (*train.LogRegResult, error)
+	}{
+		{"bb-false", false, sequential},
+		{"bb-true", true, sequential},
+		{"dist-workers-3", false, func(cfg train.SGDConfig) (*train.LogRegResult, error) {
+			return dist.LogReg(task, rows, dist.Config{Workers: 3, SGD: cfg}, gmreg.GMFactory())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := train.SGDConfig{
 				LearningRate:    0.5,
 				Momentum:        0.9,
 				Epochs:          10,
 				BatchSize:       32,
 				Seed:            11,
-				BarzilaiBorwein: bb,
+				BarzilaiBorwein: tc.bb,
 			}
 
 			baseDir := t.TempDir()
 			baseCfg := cfg
 			baseCfg.Ckpt = &train.CheckpointPolicy{Every: 3, Dir: baseDir}
-			baseRes, err := train.LogReg(task, rows, baseCfg, gmreg.GMFactory())
+			baseRes, err := tc.run(baseCfg)
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -305,14 +320,14 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 			dir := t.TempDir()
 			killCfg := cfg
 			killCfg.Ckpt = &train.CheckpointPolicy{Every: 3, Dir: dir, DieAtEpoch: 4}
-			if _, err := train.LogReg(task, rows, killCfg, gmreg.GMFactory()); !errors.Is(err, train.ErrFaultInjected) {
+			if _, err := tc.run(killCfg); !errors.Is(err, train.ErrFaultInjected) {
 				t.Fatalf("want ErrFaultInjected, got %v", err)
 			}
 
 			resCfg := cfg
 			resCfg.Ckpt = resumePolicy(t, dir)
 			resCfg.Ckpt.Every = 3
-			res, err := train.LogReg(task, rows, resCfg, gmreg.GMFactory())
+			res, err := tc.run(resCfg)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
