@@ -1,9 +1,10 @@
 // Package distnet implements multi-process elastic distributed training: a
 // coordinator process drives synchronous data-parallel SGD across N trainer
-// processes over TCP, folding pre-scaled per-shard gradients in canonical
-// ascending shard order into the single shared train.Optimizer step — so an
-// R-trainer run is bit-identical to sequential train.Network and to
-// in-process dist.Network at equal effective shard size (DESIGN.md §13).
+// processes over TCP as the shard executor of train.Loop, which folds the
+// pre-scaled per-shard gradients in canonical ascending shard order into its
+// single optimizer step — so an R-trainer run is bit-identical to sequential
+// train.Network and to in-process dist.Network at equal effective shard
+// size (DESIGN.md §13).
 //
 // The wire protocol is length-prefixed binary frames: a fixed header
 // (magic, version, frame type, payload length, SHA-256 of the payload)
@@ -235,7 +236,7 @@ type ShardGrad struct {
 	// Index is the shard's canonical fold position.
 	Index int
 	// Grad is the flattened pre-scaled (1/n) gradient over all parameter
-	// groups, in the train.GradBank layout.
+	// groups, in the layout train.Batch.Load expects.
 	Grad []float64
 	// Loss is the shard's pre-scaled data loss.
 	Loss float64
