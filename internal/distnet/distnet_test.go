@@ -408,6 +408,25 @@ func TestCoordinateQuorumTimeout(t *testing.T) {
 	}
 }
 
+// TestCoordinateBadResumeFailsFast: a checkpoint that cannot resume this
+// run is refused before the coordinator listens, so it never waits for
+// trainers that would have to be turned away.
+func TestCoordinateBadResumeFailsFast(t *testing.T) {
+	set, spec := tabularJob(t)
+	netw, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgd := testSGD(3)
+	sgd.Ckpt = &train.CheckpointPolicy{Resume: &train.State{Kind: train.KindLogReg, Epoch: 1, Epochs: 3}}
+	cfg := Config{Addr: "127.0.0.1:0", Spec: spec, MinTrainers: 1, SGD: sgd,
+		JoinWait: time.Minute,
+		OnListen: func(net.Addr) { t.Error("coordinator listened before refusing the checkpoint") }}
+	if _, err := Coordinate(netw, set, cfg, gmFactory); err == nil {
+		t.Fatal("coordinator accepted a logreg checkpoint")
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	_, spec := tabularJob(t)
 	good := Config{Addr: ":0", Spec: spec, MinTrainers: 1, SGD: testSGD(1)}
