@@ -408,7 +408,7 @@ func sinkOrNil(j *obs.JSONL) gmreg.Sink {
 // precision; storePath names the store the informative reference checkpoint
 // is loaded from.
 func buildFactory(name, prior string, beta, gamma float64, storePath string, sink gmreg.Sink) (gmreg.Factory, error) {
-	opts := []gmreg.Option{gmreg.WithGamma(gamma)}
+	opts := []gmreg.Option{gmreg.WithConfig(func(c *gmreg.Config) { c.Gamma = gamma })}
 	if sink != nil {
 		opts = append(opts, gmreg.WithSink(sink))
 	}

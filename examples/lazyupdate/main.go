@@ -39,7 +39,9 @@ func main() {
 	}
 	run := func(e, im, ig int) outcome {
 		res, err := train.LogReg(task, trainRows, cfg,
-			gmreg.GMFactory(gmreg.WithLazyUpdate(e, im, ig)))
+			gmreg.New(gmreg.WithConfig(func(c *gmreg.Config) {
+				c.WarmupEpochs, c.RegInterval, c.GMInterval = e, im, ig
+			})))
 		if err != nil {
 			panic(err)
 		}

@@ -95,7 +95,7 @@ func TestGeminiPipelineEndToEnd(t *testing.T) {
 		SGD: train.SGDConfig{
 			LearningRate: 0.1, Momentum: 0.9, Epochs: 40, BatchSize: 32, Seed: 5,
 		},
-	}, gmreg.GMFactory())
+	}, gmreg.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFacadeAllRegularizersOnDistributedTrainer(t *testing.T) {
 		gmreg.L2(0.5),
 		gmreg.ElasticNet(0.5, 0.5),
 		gmreg.Huber(0.5, 0.1),
-		gmreg.GMFactory(gmreg.WithGamma(0.002)),
+		gmreg.New(gmreg.WithConfig(func(c *gmreg.Config) { c.Gamma = 0.002 })),
 	}
 	for _, f := range factories {
 		res, err := dist.LogReg(task, rows, dist.Config{

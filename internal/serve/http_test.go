@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"gmreg/internal/models"
@@ -204,5 +206,55 @@ func TestHTTPHealthz(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&out)
 	if resp.StatusCode != http.StatusOK || out["status"] != "ok" || out["models"].(float64) != 1 {
 		t.Fatalf("healthz: %d %v", resp.StatusCode, out)
+	}
+}
+
+// TestHTTPPredictFallbackBodies sends bodies outside the canonical shape
+// through the full stack: encoding/json decides each one, a valid one
+// answers with exactly the canonical body's bytes, and every one of them
+// counts in gmreg_serve_wire_fallback_total.
+func TestHTTPPredictFallbackBodies(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	feats, err := json.Marshal(testInputs(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	const counter = "gmreg_serve_wire_fallback_total "
+	before, ok := scrapeValue(t, ts.URL, counter)
+	if !ok {
+		t.Fatalf("/metrics has no %s", counter)
+	}
+	code, want := post(`{"model":"mlp","features":` + string(feats) + `}`)
+	if code != http.StatusOK {
+		t.Fatalf("canonical body: status %d: %s", code, want)
+	}
+	for _, body := range []string{
+		`{"MODEL":"mlp","features":` + string(feats) + `}`,
+		`{"\u006dodel":"mlp","features":` + string(feats) + `}`,
+		`{"model":"mlp","features":` + string(feats) + `,"extra":{"a":[1,null]}}`,
+	} {
+		if code, got := post(body); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%.24s…: status %d\n got  %q\n want %q", body, code, got, want)
+		}
+	}
+	if code, got := post(`{"features":[1e999]}`); code != http.StatusBadRequest {
+		t.Fatalf("out-of-range feature: status %d: %s, want 400", code, got)
+	}
+	after, _ := scrapeValue(t, ts.URL, counter)
+	if after-before != 4 {
+		t.Fatalf("fallback counter rose by %v, want 4", after-before)
 	}
 }

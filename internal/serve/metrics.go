@@ -67,6 +67,9 @@ func registerProcessMetrics(r *obs.Registry, s *Server) {
 	r.CounterFunc("gmreg_serve_wire_misses_total",
 		"Wire-buffer checkouts that built a fresh buffer set.",
 		func() float64 { return float64(wireMisses.Load()) })
+	r.CounterFunc("gmreg_serve_wire_fallback_total",
+		"Predict bodies outside the canonical shape, decoded by encoding/json.",
+		func() float64 { return float64(wireFallbacks.Load()) })
 	r.CounterFunc("gmreg_serve_alloc_bytes_total",
 		"Bytes of backing-array growth across recycled wire buffers.",
 		func() float64 { return float64(wireAllocBytes.Load()) })

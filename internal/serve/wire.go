@@ -1,53 +1,34 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
 	"unsafe"
 )
 
-// wire.go is the hand-rolled /predict wire codec: a fully-validating JSON
-// scanner that parses {"model": ..., "features": [...]} directly into pooled
-// buffers, and an append-based response encoder. Together they make the
-// request→response cycle allocation-free in steady state — the serving
-// analogue of the training arena (DESIGN.md §6).
+// wire.go is the /predict wire codec: a scanner that parses the canonical
+// request shape directly into pooled buffers, and an append-based response
+// encoder. Together they make the request→response cycle allocation-free in
+// steady state — the serving analogue of the training arena (DESIGN.md §6).
 //
-// The decoder is behaviorally identical to
-// json.NewDecoder(body).Decode(&predictRequest{}): it accepts and rejects
-// exactly the same byte strings and yields the same parsed values (proven by
-// FuzzPredictDecode in wire_test.go). That contract pins several deliberate
-// quirks of encoding/json:
-//
-//   - only one value is read; anything after the first complete top-level
-//     value is ignored, garbage included ("nullx", `{}]` accept)
-//   - a top-level null is accepted and leaves the zero request
-//   - object keys match "model"/"features" under bytes.EqualFold (the
-//     documented field-matching fold); later duplicates win
-//   - null is a no-op for the model string, sets features to nil, and
-//     contributes a zero element inside the features array
-//   - invalid UTF-8 and unpaired \u surrogates in strings are coerced to
-//     U+FFFD, never rejected
-//   - numbers inside features must survive strconv.ParseFloat (1e999
-//     rejects) while numbers in skipped unknown fields are only
-//     grammar-checked (exactly what the stdlib scanner validates)
-//   - nesting beyond 10000 levels is a syntax error
+// The decoder has the semantics of json.NewDecoder(body).Decode(&predictRequest{}),
+// and the request grammar has one owner, encoding/json. The scanner takes
+// only canonical bodies (scanCanonical lists the rules); every other body,
+// valid or not, is decoded by encoding/json itself, so its accept/reject
+// decision and error text are the stdlib's, and it counts in
+// gmreg_serve_wire_fallback_total. FuzzPredictDecode checks that both agree.
 //
 // The encoder mirrors json.NewEncoder(w).Encode(predictResponse{...}) byte
-// for byte: HTML-escaped strings, ES6-style float formatting (exponent form
-// below 1e-6 and at/above 1e21, "e-09"→"e-9" cleanup), and the trailing
-// newline Encoder appends.
-
-// maxNestingDepth mirrors encoding/json's scanner limit.
-const maxNestingDepth = 10000
+// for byte: ES6-style float formatting (exponent form below 1e-6 and at/above
+// 1e21, "e-09"→"e-9" cleanup), the trailing newline Encoder appends, and
+// strings escaped exactly where encoding/json escapes them.
 
 // wireBuf carries every per-request buffer of the /predict hot path: the raw
 // body, the decoded model name and feature vector, the probability output,
@@ -55,8 +36,7 @@ const maxNestingDepth = 10000
 // keeps the whole cycle allocation-free once the pool is warm.
 type wireBuf struct {
 	body     []byte    // raw request body
-	model    []byte    // unescaped model name (decoded, then resolved default)
-	key      []byte    // unescaped object-key scratch
+	model    []byte    // decoded model name (then the resolved default)
 	features []float64 // decoded feature vector
 	featNil  bool      // features was absent or JSON null (nil slice semantics)
 	probs    []float64 // softmax output, handed to the predictor queue
@@ -70,18 +50,21 @@ type wireBuf struct {
 
 // capBytes is the total backing-array footprint of the buffer set.
 func (wb *wireBuf) capBytes() int64 {
-	return int64(cap(wb.body)) + int64(cap(wb.model)) + int64(cap(wb.key)) +
+	return int64(cap(wb.body)) + int64(cap(wb.model)) +
 		int64(cap(wb.out)) + 8*int64(cap(wb.features)+cap(wb.probs))
 }
 
 // Wire-pool traffic counters, exported as gmreg_serve_wire_* and
 // gmreg_serve_alloc_bytes_total (metrics.go). In steady state gets climbs
 // while misses and alloc bytes stay flat — the zero-allocation signature.
+// wireFallbacks counts the bodies decoded by encoding/json rather than the
+// canonical scanner: the share of traffic that pays for allocation.
 var (
 	wirePool       sync.Pool
 	wireGets       atomic.Int64
 	wireMisses     atomic.Int64
 	wireAllocBytes atomic.Int64
+	wireFallbacks  atomic.Int64
 )
 
 func getWireBuf() *wireBuf {
@@ -142,317 +125,198 @@ func growBytes(s []byte, n int) []byte {
 }
 
 // decodePredict parses one JSON value from data into wb.model/wb.features
-// with the exact semantics of json.NewDecoder(...).Decode(&predictRequest{}).
-// The parse is allocation-free on the accept path; errors (reject path only)
-// may allocate.
+// with the semantics of json.NewDecoder(...).Decode(&predictRequest{}). A
+// canonical body decodes without allocating; any other body is handed to a
+// json.Decoder unchanged, and its error, if any, is returned as it is. (Not
+// json.Unmarshal: a Decoder ignores bytes after the first value, as the
+// handler always has.)
 func (wb *wireBuf) decodePredict(data []byte) error {
-	wb.model = wb.model[:0]
-	wb.features = wb.features[:0]
-	wb.featNil = true
-	d := &wireDecoder{data: data, wb: wb}
-	d.skipSpace()
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
+	if wb.scanCanonical(data) {
+		return nil
 	}
-	switch d.data[d.i] {
-	case 'n':
-		// Top-level null decodes to the zero request. Decode never looks
-		// past a complete value, so trailing bytes are irrelevant.
-		return d.literal("null")
-	case '{':
-		return d.object()
-	case '[':
-		// Consume the value to distinguish syntax errors from type errors
-		// the way the stdlib does, then reject either way.
-		if err := d.skipValue(1); err != nil {
-			return err
-		}
-		return errors.New("cannot unmarshal array into predict request")
-	case '"':
-		if err := d.skipValue(1); err != nil {
-			return err
-		}
-		return errors.New("cannot unmarshal string into predict request")
-	case 't', 'f':
-		if err := d.skipValue(1); err != nil {
-			return err
-		}
-		return errors.New("cannot unmarshal bool into predict request")
-	default:
-		if c := d.data[d.i]; c == '-' || ('0' <= c && c <= '9') {
-			if err := d.skipValue(1); err != nil {
-				return err
-			}
-			return errors.New("cannot unmarshal number into predict request")
-		}
-		return d.syntaxErr("looking for beginning of value")
+	wireFallbacks.Add(1)
+	var req predictRequest
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+		return err
 	}
+	wb.model = append(wb.model[:0], req.Model...)
+	wb.features = append(wb.features[:0], req.Features...)
+	wb.featNil = req.Features == nil
+	return nil
 }
 
-// wireDecoder is a cursor over one request body.
-type wireDecoder struct {
+// scanCanonical parses data into wb and reports true when data is a
+// canonical request:
+//
+//   - one object whose keys are exactly "model" and "features", in either
+//     order, each at most once and each optional ({} included);
+//   - a model string of printable ASCII without \ escapes;
+//   - features an array of numbers in the RFC 8259 grammar that
+//     strconv.ParseFloat converts without a range error;
+//   - JSON whitespace anywhere between tokens and after the object.
+//
+// It never rejects a body: anything else — an invalid body, but also a
+// valid one with a duplicate or unknown key, a null, an escape, or a number
+// such as 1e999 — reports false, and wb must then be decoded again.
+func (wb *wireBuf) scanCanonical(data []byte) bool {
+	wb.model, wb.features, wb.featNil = wb.model[:0], wb.features[:0], true
+	s := scanner{data: data}
+	if !s.consume('{') {
+		return false
+	}
+	if !s.consume('}') {
+		var sawModel, sawFeatures bool
+		for {
+			ok := false
+			switch {
+			case !sawModel && s.key(`"model"`):
+				sawModel = true
+				wb.model, ok = s.plainString(wb.model)
+			case !sawFeatures && s.key(`"features"`):
+				sawFeatures, wb.featNil = true, false
+				wb.features, ok = s.numbers(wb.features)
+			}
+			if !ok {
+				return false
+			}
+			if s.consume('}') {
+				break
+			}
+			if !s.consume(',') {
+				return false
+			}
+		}
+	}
+	s.skipSpace()
+	return s.i == len(s.data)
+}
+
+// scanner is a cursor over one request body.
+type scanner struct {
 	data []byte
 	i    int
-	wb   *wireBuf
 }
 
-func (d *wireDecoder) syntaxErr(context string) error {
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("invalid character %q %s", d.data[d.i], context)
-}
-
-func (d *wireDecoder) skipSpace() {
-	for d.i < len(d.data) {
-		switch d.data[d.i] {
+func (s *scanner) skipSpace() {
+	for s.i < len(s.data) {
+		switch s.data[s.i] {
 		case ' ', '\t', '\r', '\n':
-			d.i++
+			s.i++
 		default:
 			return
 		}
 	}
 }
 
-// literal consumes an exact keyword (null/true/false).
-func (d *wireDecoder) literal(word string) error {
-	if len(d.data)-d.i < len(word) {
-		return io.ErrUnexpectedEOF
+// consume skips whitespace and then the byte c, if c is next.
+func (s *scanner) consume(c byte) bool {
+	s.skipSpace()
+	if s.i < len(s.data) && s.data[s.i] == c {
+		s.i++
+		return true
 	}
-	for j := 0; j < len(word); j++ {
-		if d.data[d.i+j] != word[j] {
-			d.i += j
-			return d.syntaxErr("in literal")
-		}
-	}
-	d.i += len(word)
-	return nil
+	return false
 }
 
-// object parses the top-level request object, dispatching on folded keys.
-func (d *wireDecoder) object() error {
-	d.i++ // '{'
-	d.skipSpace()
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
+// accept consumes the next byte if it is one of set.
+func (s *scanner) accept(set string) bool {
+	for j := 0; j < len(set) && s.i < len(s.data); j++ {
+		if s.data[s.i] == set[j] {
+			s.i++
+			return true
+		}
 	}
-	if d.data[d.i] == '}' {
-		d.i++
-		return nil
+	return false
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (s *scanner) digits() int {
+	i := s.i
+	for i < len(s.data) && '0' <= s.data[i] && s.data[i] <= '9' {
+		i++
+	}
+	n := i - s.i
+	s.i = i
+	return n
+}
+
+// key consumes the quoted key q and the colon after it, or nothing at all,
+// so that a failed match leaves the cursor for the next candidate key.
+func (s *scanner) key(q string) bool {
+	start := s.i
+	s.skipSpace()
+	if rest := s.data[s.i:]; len(rest) >= len(q) && string(rest[:len(q)]) == q {
+		s.i += len(q)
+		if s.consume(':') {
+			return true
+		}
+	}
+	s.i = start
+	return false
+}
+
+// plainString appends to buf the contents of a string of printable ASCII
+// without escapes.
+func (s *scanner) plainString(buf []byte) ([]byte, bool) {
+	if !s.consume('"') {
+		return buf, false
+	}
+	for start := s.i; s.i < len(s.data); s.i++ {
+		switch c := s.data[s.i]; {
+		case c == '"':
+			s.i++
+			return append(buf, s.data[start:s.i-1]...), true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return buf, false
+		}
+	}
+	return buf, false
+}
+
+// numbers appends to buf the elements of an array of numbers.
+func (s *scanner) numbers(buf []float64) ([]float64, bool) {
+	if !s.consume('[') {
+		return buf, false
+	}
+	if s.consume(']') {
+		return buf, true
 	}
 	for {
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
+		f, ok := s.number()
+		if !ok {
+			return buf, false
 		}
-		if d.data[d.i] != '"' {
-			return d.syntaxErr("looking for beginning of object key string")
+		buf = append(buf, f)
+		if s.consume(']') {
+			return buf, true
 		}
-		key, err := d.parseString(d.wb.key[:0])
-		d.wb.key = key[:0]
-		if err != nil {
-			return err
-		}
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		if d.data[d.i] != ':' {
-			return d.syntaxErr("after object key")
-		}
-		d.i++
-		d.skipSpace()
-		switch {
-		case equalFold(key, "model"):
-			err = d.parseModel()
-		case equalFold(key, "features"):
-			err = d.parseFeatures()
-		default:
-			err = d.skipValue(2)
-		}
-		if err != nil {
-			return err
-		}
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		switch d.data[d.i] {
-		case ',':
-			d.i++
-		case '}':
-			d.i++
-			return nil
-		default:
-			return d.syntaxErr("after object key:value pair")
+		if !s.consume(',') {
+			return buf, false
 		}
 	}
 }
 
-// parseModel decodes the model field: a string overwrites, null is a no-op
-// (matching encoding/json's null-into-string semantics), anything else is a
-// type error.
-func (d *wireDecoder) parseModel() error {
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
+// number scans one number in the strict RFC 8259 grammar (no leading zeros,
+// `.` and exponent each followed by a digit) and converts it with
+// strconv.ParseFloat, which is what encoding/json does for float64 targets.
+func (s *scanner) number() (float64, bool) {
+	s.skipSpace()
+	start := s.i
+	s.accept("-")
+	if !s.accept("0") && s.digits() == 0 {
+		return 0, false
 	}
-	switch d.data[d.i] {
-	case '"':
-		m, err := d.parseString(d.wb.model[:0])
-		d.wb.model = m
-		return err
-	case 'n':
-		return d.literal("null")
-	default:
-		// Consume for syntax-error parity, then reject as a type error.
-		if err := d.skipValue(2); err != nil {
-			return err
-		}
-		return errors.New("cannot unmarshal value into model of type string")
+	if s.accept(".") && s.digits() == 0 {
+		return 0, false
 	}
-}
-
-// parseFeatures decodes the features field: an array of numbers (null
-// elements contribute a zero, as encoding/json's null-into-float64 no-op
-// does on the freshly grown element), or null for a nil slice.
-func (d *wireDecoder) parseFeatures() error {
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
-	}
-	switch d.data[d.i] {
-	case 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		d.wb.features = d.wb.features[:0]
-		d.wb.featNil = true
-		return nil
-	case '[':
-	default:
-		if err := d.skipValue(2); err != nil {
-			return err
-		}
-		return errors.New("cannot unmarshal value into features of type []float64")
-	}
-	d.i++ // '['
-	d.wb.features = d.wb.features[:0]
-	d.wb.featNil = false
-	d.skipSpace()
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
-	}
-	if d.data[d.i] == ']' {
-		d.i++
-		return nil
-	}
-	for {
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		switch c := d.data[d.i]; {
-		case c == '-' || ('0' <= c && c <= '9'):
-			f, err := d.number()
-			if err != nil {
-				return err
-			}
-			d.wb.features = appendFloat64(d.wb.features, f)
-		case c == 'n':
-			if err := d.literal("null"); err != nil {
-				return err
-			}
-			d.wb.features = appendFloat64(d.wb.features, 0)
-		default:
-			// Consume the value for syntax-error parity, then type-error.
-			if err := d.skipValue(3); err != nil {
-				return err
-			}
-			return errors.New("cannot unmarshal value into features element of type float64")
-		}
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		switch d.data[d.i] {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			return nil
-		default:
-			return d.syntaxErr("after array element")
+	if s.accept("eE") {
+		s.accept("+-")
+		if s.digits() == 0 {
+			return 0, false
 		}
 	}
-}
-
-// appendFloat64 appends without losing the pooled backing array's identity
-// for small growth steps (append semantics are fine; this exists so the
-// growth policy is explicit and shared).
-func appendFloat64(s []float64, f float64) []float64 {
-	if len(s) == cap(s) {
-		ns := make([]float64, len(s), max(2*cap(s), 64))
-		copy(ns, s)
-		s = ns
-	}
-	return append(s, f)
-}
-
-// number scans one JSON number token (strict RFC 8259 grammar — the stdlib
-// scanner's exact acceptance) and converts it with strconv.ParseFloat, which
-// is precisely what encoding/json does for float64 targets.
-func (d *wireDecoder) number() (float64, error) {
-	start := d.i
-	if d.data[d.i] == '-' {
-		d.i++
-		if d.i >= len(d.data) {
-			return 0, io.ErrUnexpectedEOF
-		}
-	}
-	switch c := d.data[d.i]; {
-	case c == '0':
-		d.i++
-	case '1' <= c && c <= '9':
-		d.i++
-		for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-			d.i++
-		}
-	default:
-		return 0, d.syntaxErr("in numeric literal")
-	}
-	if d.i < len(d.data) && d.data[d.i] == '.' {
-		d.i++
-		if d.i >= len(d.data) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		if c := d.data[d.i]; c < '0' || c > '9' {
-			return 0, d.syntaxErr("after decimal point in numeric literal")
-		}
-		for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-			d.i++
-		}
-	}
-	if d.i < len(d.data) && (d.data[d.i] == 'e' || d.data[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.data) && (d.data[d.i] == '+' || d.data[d.i] == '-') {
-			d.i++
-		}
-		if d.i >= len(d.data) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		if c := d.data[d.i]; c < '0' || c > '9' {
-			return 0, d.syntaxErr("in exponent of numeric literal")
-		}
-		for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-			d.i++
-		}
-	}
-	f, err := strconv.ParseFloat(bytesToString(d.data[start:d.i]), 64)
-	if err != nil {
-		// Grammar passed, so this is a range error (e.g. 1e999) — a reject,
-		// exactly as encoding/json treats it.
-		return 0, fmt.Errorf("cannot unmarshal number %s into float64", d.data[start:d.i])
-	}
-	return f, nil
+	f, err := strconv.ParseFloat(bytesToString(s.data[start:s.i]), 64)
+	return f, err == nil
 }
 
 // bytesToString views b as a string without copying. Safe here because the
@@ -463,399 +327,6 @@ func bytesToString(b []byte) string {
 		return ""
 	}
 	return unsafe.String(&b[0], len(b))
-}
-
-// equalFold reports whether the unescaped key matches field under
-// encoding/json's field-name folding, which is documented to be identical to
-// bytes.EqualFold. strings.EqualFold over the raw bytes matches it exactly.
-func equalFold(key []byte, field string) bool {
-	// Fast path: hot requests use exact lowercase keys.
-	if len(key) == len(field) {
-		exact := true
-		for i := 0; i < len(key); i++ {
-			if key[i] != field[i] {
-				exact = false
-				break
-			}
-		}
-		if exact {
-			return true
-		}
-	}
-	return foldEqual(key, field)
-}
-
-// foldEqual is bytes.EqualFold against a string field name, inlined to avoid
-// a []byte(field) conversion.
-func foldEqual(key []byte, field string) bool {
-	i, j := 0, 0
-	for i < len(key) && j < len(field) {
-		kr, kn := decodeRune(key[i:])
-		fr, fn := utf8.DecodeRuneInString(field[j:])
-		if foldRune(kr) != foldRune(fr) {
-			return false
-		}
-		i += kn
-		j += fn
-	}
-	return i == len(key) && j == len(field)
-}
-
-func decodeRune(b []byte) (rune, int) {
-	if b[0] < utf8.RuneSelf {
-		return rune(b[0]), 1
-	}
-	return utf8.DecodeRune(b)
-}
-
-// foldRune returns the smallest rune in r's simple fold set, the same fold
-// encoding/json and bytes.EqualFold apply.
-func foldRune(r rune) rune {
-	for {
-		r2 := simpleFold(r)
-		if r2 <= r {
-			return r2
-		}
-		r = r2
-	}
-}
-
-// simpleFold is unicode.SimpleFold with an ASCII fast path.
-func simpleFold(r rune) rune {
-	if r < utf8.RuneSelf {
-		if 'A' <= r && r <= 'Z' {
-			return r + ('a' - 'A')
-		}
-		if 'a' <= r && r <= 'z' {
-			return r - ('a' - 'A')
-		}
-		return r
-	}
-	return unicode.SimpleFold(r)
-}
-
-// parseString decodes the JSON string whose opening quote is at d.i into
-// buf, returning the unescaped bytes. Invalid UTF-8 bytes and unpaired
-// surrogates become U+FFFD (never an error), control characters below 0x20
-// and malformed escapes are syntax errors — the stdlib's unquote semantics.
-func (d *wireDecoder) parseString(buf []byte) ([]byte, error) {
-	d.i++ // '"'
-	for {
-		if d.i >= len(d.data) {
-			return buf, io.ErrUnexpectedEOF
-		}
-		c := d.data[d.i]
-		switch {
-		case c == '"':
-			d.i++
-			return buf, nil
-		case c == '\\':
-			d.i++
-			if d.i >= len(d.data) {
-				return buf, io.ErrUnexpectedEOF
-			}
-			var err error
-			buf, err = d.unescape(buf)
-			if err != nil {
-				return buf, err
-			}
-		case c < 0x20:
-			return buf, fmt.Errorf("invalid character %q in string literal", c)
-		case c < utf8.RuneSelf:
-			buf = append(buf, c)
-			d.i++
-		default:
-			r, size := utf8.DecodeRune(d.data[d.i:])
-			if r == utf8.RuneError && size == 1 {
-				buf = append(buf, "�"...)
-				d.i++
-			} else {
-				buf = append(buf, d.data[d.i:d.i+size]...)
-				d.i += size
-			}
-		}
-	}
-}
-
-// unescape handles one backslash escape with d.i on the escape letter.
-func (d *wireDecoder) unescape(buf []byte) ([]byte, error) {
-	switch c := d.data[d.i]; c {
-	case '"', '\\', '/':
-		d.i++
-		return append(buf, c), nil
-	case 'b':
-		d.i++
-		return append(buf, '\b'), nil
-	case 'f':
-		d.i++
-		return append(buf, '\f'), nil
-	case 'n':
-		d.i++
-		return append(buf, '\n'), nil
-	case 'r':
-		d.i++
-		return append(buf, '\r'), nil
-	case 't':
-		d.i++
-		return append(buf, '\t'), nil
-	case 'u':
-		d.i++
-		r, err := d.hex4()
-		if err != nil {
-			return buf, err
-		}
-		if utf16.IsSurrogate(r) {
-			// A valid \uXXXX low surrogate right behind combines; anything
-			// else (including a bare high surrogate or invalid \u) leaves
-			// U+FFFD and reprocesses whatever follows — stdlib behavior.
-			if r2, n := d.peekU(); n > 0 {
-				if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-					d.i += n
-					return utf8.AppendRune(buf, dec), nil
-				}
-			}
-			return append(buf, "�"...), nil
-		}
-		return utf8.AppendRune(buf, r), nil
-	default:
-		return buf, fmt.Errorf("invalid character %q in string escape code", c)
-	}
-}
-
-// hex4 consumes exactly four hex digits, returning the code unit.
-func (d *wireDecoder) hex4() (rune, error) {
-	if len(d.data)-d.i < 4 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	var r rune
-	for j := 0; j < 4; j++ {
-		c := d.data[d.i+j]
-		switch {
-		case '0' <= c && c <= '9':
-			r = r<<4 | rune(c-'0')
-		case 'a' <= c && c <= 'f':
-			r = r<<4 | rune(c-'a'+10)
-		case 'A' <= c && c <= 'F':
-			r = r<<4 | rune(c-'A'+10)
-		default:
-			d.i += j
-			return 0, d.syntaxErr("in \\u hexadecimal character escape")
-		}
-	}
-	d.i += 4
-	return r, nil
-}
-
-// peekU returns the code unit of a \uXXXX escape at d.i without consuming
-// it, or n == 0 when none is present.
-func (d *wireDecoder) peekU() (rune, int) {
-	if len(d.data)-d.i < 6 || d.data[d.i] != '\\' || d.data[d.i+1] != 'u' {
-		return 0, 0
-	}
-	var r rune
-	for j := 2; j < 6; j++ {
-		c := d.data[d.i+j]
-		switch {
-		case '0' <= c && c <= '9':
-			r = r<<4 | rune(c-'0')
-		case 'a' <= c && c <= 'f':
-			r = r<<4 | rune(c-'a'+10)
-		case 'A' <= c && c <= 'F':
-			r = r<<4 | rune(c-'A'+10)
-		default:
-			return 0, 0
-		}
-	}
-	return r, 6
-}
-
-// skipValue validates and discards one JSON value at d.i (leading space
-// already skipped), used for unknown fields and for consuming mistyped
-// values before rejecting them. depth counts nesting levels including this
-// value's own.
-func (d *wireDecoder) skipValue(depth int) error {
-	if depth > maxNestingDepth {
-		return errors.New("exceeded max depth")
-	}
-	if d.i >= len(d.data) {
-		return io.ErrUnexpectedEOF
-	}
-	switch c := d.data[d.i]; {
-	case c == '"':
-		return d.skipString()
-	case c == '{':
-		d.i++
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		if d.data[d.i] == '}' {
-			d.i++
-			return nil
-		}
-		for {
-			d.skipSpace()
-			if d.i >= len(d.data) {
-				return io.ErrUnexpectedEOF
-			}
-			if d.data[d.i] != '"' {
-				return d.syntaxErr("looking for beginning of object key string")
-			}
-			if err := d.skipString(); err != nil {
-				return err
-			}
-			d.skipSpace()
-			if d.i >= len(d.data) {
-				return io.ErrUnexpectedEOF
-			}
-			if d.data[d.i] != ':' {
-				return d.syntaxErr("after object key")
-			}
-			d.i++
-			d.skipSpace()
-			if err := d.skipValue(depth + 1); err != nil {
-				return err
-			}
-			d.skipSpace()
-			if d.i >= len(d.data) {
-				return io.ErrUnexpectedEOF
-			}
-			switch d.data[d.i] {
-			case ',':
-				d.i++
-			case '}':
-				d.i++
-				return nil
-			default:
-				return d.syntaxErr("after object key:value pair")
-			}
-		}
-	case c == '[':
-		d.i++
-		d.skipSpace()
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		if d.data[d.i] == ']' {
-			d.i++
-			return nil
-		}
-		for {
-			d.skipSpace()
-			if err := d.skipValue(depth + 1); err != nil {
-				return err
-			}
-			d.skipSpace()
-			if d.i >= len(d.data) {
-				return io.ErrUnexpectedEOF
-			}
-			switch d.data[d.i] {
-			case ',':
-				d.i++
-			case ']':
-				d.i++
-				return nil
-			default:
-				return d.syntaxErr("after array element")
-			}
-		}
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || ('0' <= c && c <= '9'):
-		return d.skipNumber()
-	default:
-		return d.syntaxErr("looking for beginning of value")
-	}
-}
-
-// skipNumber validates a number token's grammar without converting it —
-// skipped fields are never range-checked.
-func (d *wireDecoder) skipNumber() error {
-	if d.data[d.i] == '-' {
-		d.i++
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-	}
-	switch c := d.data[d.i]; {
-	case c == '0':
-		d.i++
-	case '1' <= c && c <= '9':
-		for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-			d.i++
-		}
-	default:
-		return d.syntaxErr("in numeric literal")
-	}
-	if d.i < len(d.data) && d.data[d.i] == '.' {
-		d.i++
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		if c := d.data[d.i]; c < '0' || c > '9' {
-			return d.syntaxErr("after decimal point in numeric literal")
-		}
-		for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-			d.i++
-		}
-	}
-	if d.i < len(d.data) && (d.data[d.i] == 'e' || d.data[d.i] == 'E') {
-		d.i++
-		if d.i < len(d.data) && (d.data[d.i] == '+' || d.data[d.i] == '-') {
-			d.i++
-		}
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		if c := d.data[d.i]; c < '0' || c > '9' {
-			return d.syntaxErr("in exponent of numeric literal")
-		}
-		for d.i < len(d.data) && '0' <= d.data[d.i] && d.data[d.i] <= '9' {
-			d.i++
-		}
-	}
-	return nil
-}
-
-// skipString validates a string token without building its unescaped form.
-// Escape validity and control characters are still checked; UTF-8 validity
-// deliberately is not (the stdlib coerces, never rejects).
-func (d *wireDecoder) skipString() error {
-	d.i++ // '"'
-	for {
-		if d.i >= len(d.data) {
-			return io.ErrUnexpectedEOF
-		}
-		switch c := d.data[d.i]; {
-		case c == '"':
-			d.i++
-			return nil
-		case c == '\\':
-			d.i++
-			if d.i >= len(d.data) {
-				return io.ErrUnexpectedEOF
-			}
-			switch d.data[d.i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.i++
-			case 'u':
-				d.i++
-				if _, err := d.hex4(); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("invalid character %q in string escape code", d.data[d.i])
-			}
-		case c < 0x20:
-			return fmt.Errorf("invalid character %q in string literal", c)
-		default:
-			d.i++
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -921,76 +392,19 @@ func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
-// jsonSafe marks the ASCII bytes encoding/json leaves unescaped with HTML
-// escaping on (its htmlSafeSet): printable ASCII minus `"`, `\`, `<`, `>`,
-// `&`.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = true
+// appendJSONString appends s as a quoted JSON string with the bytes
+// encoding/json's HTML-escaping encoder writes. Printable ASCII without `"`,
+// `\`, `<`, `>` or `&` — every store key and version hash in practice —
+// needs no escape and is copied as it is; any other string is encoded by
+// json.Marshal, so only an unusual key pays for the allocation.
+func appendJSONString[T []byte | string](dst []byte, s T) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(string(s)) // marshaling a string cannot fail
+			return append(dst, b...)
+		}
 	}
-	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
-	return
-}()
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends src as a quoted JSON string with the stdlib's
-// HTML-escaping encoder semantics: short escapes for the classic control
-// characters, \u00xx for the rest, </>/& for HTML metas,
-//  /  escaped, invalid UTF-8 replaced by �.
-func appendJSONString[T []byte | string](dst []byte, src T) []byte {
 	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(src); {
-		if b := src[i]; b < utf8.RuneSelf {
-			if jsonSafe[b] {
-				i++
-				continue
-			}
-			dst = append(dst, src[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		// Multibyte rune: decode from a stack copy so the []byte
-		// instantiation never converts through an allocated string.
-		var tmp [utf8.UTFMax]byte
-		n := copy(tmp[:], src[i:min(i+utf8.UTFMax, len(src))])
-		c, size := utf8.DecodeRune(tmp[:n])
-		if c == utf8.RuneError && size == 1 {
-			// The stdlib encoder writes the six-character escape, not the
-			// replacement character itself.
-			dst = append(dst, src[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			start = i
-			continue
-		}
-		if c == ' ' || c == ' ' {
-			dst = append(dst, src[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, src[start:]...)
+	dst = append(dst, s...)
 	return append(dst, '"')
 }

@@ -94,26 +94,70 @@ func FuzzPredictDecode(f *testing.F) {
 	})
 }
 
-// TestDecodeReusesBuffers pins the recycling contract: a second decode into
-// the same wireBuf reuses the grown backing arrays.
+// TestDecodeReusesBuffers pins the fast path: every canonical body decodes
+// through the scanner (the fallback counter stays put) to the stdlib's
+// values, at 0 allocs, reusing the grown backing arrays. FuzzPredictDecode
+// alone cannot show this: a decoder that always fell back would pass it.
 func TestDecodeReusesBuffers(t *testing.T) {
-	wb := &wireBuf{}
-	if err := wb.decodePredict([]byte(`{"model":"warmup-name","features":[1,2,3,4,5,6,7,8]}`)); err != nil {
+	rng := tensor.NewRNG(11)
+	x := make([]float64, 375)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	hospFA, err := json.Marshal(predictRequest{Model: "hosp-fa", Features: x})
+	if err != nil {
 		t.Fatal(err)
 	}
-	mcap, fcap := cap(wb.model), cap(wb.features)
-	body := []byte(`{"model":"mlp","features":[9,8,7]}`)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := wb.decodePredict(body); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state decode allocated %.1f times per run, want 0", allocs)
+	cases := []struct{ name, body string }{
+		{"model-first", `{"model":"mlp","features":[9,8,7]}`},
+		{"features-first", `{"features":[9,8,7],"model":"mlp"}`},
+		{"features-only", `{"features":[0.5,-1.25]}`},
+		{"model-only", `{"model":"mlp"}`},
+		{"empty-object", `{}`},
+		{"empty-features", `{"features":[]}`},
+		{"whitespace", " \t{\r\n\"model\" :\t\"m l p\" ,\n\"features\" : [ 1 ,\t2 ] }\r\n "},
+		{"number-forms", `{"features":[-0,1E5,5e-324]}`},
+		{"hosp-fa", string(hospFA)},
 	}
-	if cap(wb.model) != mcap || cap(wb.features) != fcap {
-		t.Fatalf("decode replaced pooled backing arrays (model %d→%d, features %d→%d)",
-			mcap, cap(wb.model), fcap, cap(wb.features))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := []byte(tc.body)
+			var want predictRequest
+			if err := json.Unmarshal(body, &want); err != nil {
+				t.Fatal(err)
+			}
+			wb := &wireBuf{}
+			if err := wb.decodePredict(body); err != nil {
+				t.Fatal(err)
+			}
+			mcap, fcap := cap(wb.model), cap(wb.features)
+			fallbacks := wireFallbacks.Load()
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := wb.decodePredict(body); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n := wireFallbacks.Load() - fallbacks; n != 0 {
+				t.Fatalf("canonical body took the encoding/json fallback %d times", n)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state decode allocated %.1f times per run, want 0", allocs)
+			}
+			if cap(wb.model) != mcap || cap(wb.features) != fcap {
+				t.Fatalf("decode replaced pooled backing arrays (model %d→%d, features %d→%d)",
+					mcap, cap(wb.model), fcap, cap(wb.features))
+			}
+			if string(wb.model) != want.Model || wb.featNil != (want.Features == nil) ||
+				len(wb.features) != len(want.Features) {
+				t.Fatalf("decoded model %q, %d features (nil %v); want %q, %d (nil %v)",
+					wb.model, len(wb.features), wb.featNil, want.Model, len(want.Features), want.Features == nil)
+			}
+			for i, f := range want.Features {
+				if math.Float64bits(wb.features[i]) != math.Float64bits(f) {
+					t.Fatalf("features[%d] = %v, want %v", i, wb.features[i], f)
+				}
+			}
+		})
 	}
 }
 

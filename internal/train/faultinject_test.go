@@ -191,7 +191,7 @@ func TestNetworkFaultInjectResume(t *testing.T) {
 
 	baseDir := t.TempDir()
 	baseSink := &canonSink{}
-	baseRes, err := train.Network(fiBNNet(3), images, fiCfg(baseDir, baseSink), gmreg.GMFactory(gmreg.WithSink(baseSink)))
+	baseRes, err := train.Network(fiBNNet(3), images, fiCfg(baseDir, baseSink), gmreg.New(gmreg.WithSink(baseSink)))
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
@@ -204,7 +204,7 @@ func TestNetworkFaultInjectResume(t *testing.T) {
 			killSink := &canonSink{}
 			killCfg := fiCfg(dir, killSink)
 			killCfg.Ckpt.DieAtEpoch = dieAt
-			_, err := train.Network(fiBNNet(3), images, killCfg, gmreg.GMFactory(gmreg.WithSink(killSink)))
+			_, err := train.Network(fiBNNet(3), images, killCfg, gmreg.New(gmreg.WithSink(killSink)))
 			if !errors.Is(err, train.ErrFaultInjected) {
 				t.Fatalf("want ErrFaultInjected, got %v", err)
 			}
@@ -213,7 +213,7 @@ func TestNetworkFaultInjectResume(t *testing.T) {
 			resSink := &canonSink{}
 			resCfg := fiCfg(dir, resSink)
 			resCfg.Ckpt = resumePolicy(t, dir)
-			res, err := train.Network(fiBNNet(3), images, resCfg, gmreg.GMFactory(gmreg.WithSink(resSink)))
+			res, err := train.Network(fiBNNet(3), images, resCfg, gmreg.New(gmreg.WithSink(resSink)))
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -238,7 +238,7 @@ func TestDistFaultInjectResume(t *testing.T) {
 	images := fiImages(t)
 
 	baseDir := t.TempDir()
-	baseRes, err := train.Network(fiConvNet(3), images, fiCfg(baseDir, nil), gmreg.GMFactory())
+	baseRes, err := train.Network(fiConvNet(3), images, fiCfg(baseDir, nil), gmreg.New())
 	if err != nil {
 		t.Fatalf("sequential baseline: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestDistFaultInjectResume(t *testing.T) {
 			killCfg := fiCfg(dir, nil)
 			killCfg.Ckpt.DieAtEpoch = 3
 			_, err := dist.Network(fiConvNet(3), images,
-				dist.NetConfig{Replicas: workers, SGD: killCfg}, gmreg.GMFactory())
+				dist.NetConfig{Replicas: workers, SGD: killCfg}, gmreg.New())
 			if !errors.Is(err, train.ErrFaultInjected) {
 				t.Fatalf("want ErrFaultInjected, got %v", err)
 			}
@@ -262,7 +262,7 @@ func TestDistFaultInjectResume(t *testing.T) {
 				t.Fatalf("expected a checkpoint before epoch 3")
 			}
 			res, err := dist.Network(fiConvNet(3), images,
-				dist.NetConfig{Replicas: workers, SGD: resCfg}, gmreg.GMFactory())
+				dist.NetConfig{Replicas: workers, SGD: resCfg}, gmreg.New())
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -285,7 +285,7 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 		rows[i] = i
 	}
 	sequential := func(cfg train.SGDConfig) (*train.LogRegResult, error) {
-		return train.LogReg(task, rows, cfg, gmreg.GMFactory())
+		return train.LogReg(task, rows, cfg, gmreg.New())
 	}
 	for _, tc := range []struct {
 		name string
@@ -295,7 +295,7 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 		{"bb-false", false, sequential},
 		{"bb-true", true, sequential},
 		{"dist-workers-3", false, func(cfg train.SGDConfig) (*train.LogRegResult, error) {
-			return dist.LogReg(task, rows, dist.Config{Workers: 3, SGD: cfg}, gmreg.GMFactory())
+			return dist.LogReg(task, rows, dist.Config{Workers: 3, SGD: cfg}, gmreg.New())
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,7 +351,7 @@ func TestLogRegFaultInjectResume(t *testing.T) {
 func TestCheckpointGuards(t *testing.T) {
 	images := fiImages(t)
 	dir := t.TempDir()
-	if _, err := train.Network(fiConvNet(3), images, fiCfg(dir, nil), gmreg.GMFactory()); err != nil {
+	if _, err := train.Network(fiConvNet(3), images, fiCfg(dir, nil), gmreg.New()); err != nil {
 		t.Fatalf("seed run: %v", err)
 	}
 
@@ -400,7 +400,7 @@ func TestCheckpointGuards(t *testing.T) {
 		cfg := fiCfg(t.TempDir(), nil)
 		cfg.Seed++ // drift
 		cfg.Ckpt.Resume = st
-		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.GMFactory()); err == nil {
+		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.New()); err == nil {
 			t.Fatal("resume under a different seed succeeded")
 		}
 	})
@@ -410,7 +410,7 @@ func TestCheckpointGuards(t *testing.T) {
 		cfg := fiCfg(rdir, nil)
 		cfg.Ckpt.Every = 1
 		cfg.Ckpt.Retain = 2
-		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.GMFactory()); err != nil {
+		if _, err := train.Network(fiConvNet(3), images, cfg, gmreg.New()); err != nil {
 			t.Fatal(err)
 		}
 		entries, err := os.ReadDir(rdir)

@@ -49,7 +49,7 @@ func goldenLogReg(t *testing.T) ([]byte, []string) {
 		Sink:         sink,
 		Ckpt:         &train.CheckpointPolicy{Every: 2, Dir: dir},
 	}
-	if _, err := train.LogReg(task, rows, cfg, gmreg.GMFactory(gmreg.WithSink(sink))); err != nil {
+	if _, err := train.LogReg(task, rows, cfg, gmreg.New(gmreg.WithSink(sink))); err != nil {
 		t.Fatal(err)
 	}
 	return finalCkptBytes(t, dir, 6), sink.events
@@ -89,7 +89,7 @@ func goldenMLP(shard int) func(*testing.T) ([]byte, []string) {
 			Sink:         sink,
 			Ckpt:         &train.CheckpointPolicy{Every: 2, Dir: dir},
 		}
-		if _, err := train.Network(net, set, cfg, gmreg.GMFactory(gmreg.WithSink(sink))); err != nil {
+		if _, err := train.Network(net, set, cfg, gmreg.New(gmreg.WithSink(sink))); err != nil {
 			t.Fatal(err)
 		}
 		return finalCkptBytes(t, dir, 4), sink.events
