@@ -7,7 +7,7 @@
 //	gmreg-bench -exp all
 //
 // Experiments: table4, table5, table6, table7, table8, fig3, fig4, fig5,
-// fig6, fig7, hotpath, serveload, dataparallel, distnet, autotune, all. Scales: small
+// fig6, fig7, hotpath, serveload, dataparallel, distnet, all. Scales: small
 // (minutes) and full (hours on CPU; matches the paper's budgets where
 // feasible). See EXPERIMENTS.md for the recorded paper-vs-measured
 // comparison. The hotpath experiment benchmarks the allocating kernels
@@ -24,16 +24,13 @@
 // counts × prefetch and writes BENCH_dataparallel.json; the distnet
 // experiment sweeps multi-process trainer counts over loopback TCP
 // (coordinator + R trainers, final loss checked bit-equal to the sequential
-// baseline) and writes BENCH_distnet.json; the autotune
-// experiment runs the kernel calibration sweep, writes BENCH_autotune.json,
-// and persists the winning config to the per-host cache file
-// (~/.cache/gmreg/autotune-<hostname>-<gomaxprocs>.json, honored at startup
-// unless GMREG_AUTOTUNE=off).
+// baseline) and writes BENCH_distnet.json.
 //
-// The harness runs on all cores by default; -procs pins both GOMAXPROCS and
-// the kernel partition grain. Every BENCH_*.json embeds an env header (go
-// version, GOMAXPROCS, NumCPU, serial cutoff, partition grain, tile shape,
-// autotune source) so results are reproducible on another host, and the
+// The harness runs on all cores by default; set the GOMAXPROCS environment
+// variable to run on fewer. The kernel settings are compiled in, so a
+// result depends on the commit, the platform and GOMAXPROCS alone. Every
+// BENCH_*.json embeds an env header (go version, host, GOMAXPROCS, NumCPU)
+// so results are reproducible on another host, and the
 // hotpath/dataparallel reports stamp scaling_valid:false — with the reason —
 // whenever effective GOMAXPROCS (min of GOMAXPROCS and NumCPU) is below 2.
 package main
@@ -52,21 +49,15 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id: table4|table5|table6|table7|table8|fig3|fig4|fig5|fig6|fig7|ablation-k|ablation-merge|ablation-gamma|ablation-grid|ablation-hpo|ablation-priors|hotpath|serveload|dataparallel|distnet|autotune|ablations|all")
+		exp      = flag.String("exp", "all", "experiment id: table4|table5|table6|table7|table8|fig3|fig4|fig5|fig6|fig7|ablation-k|ablation-merge|ablation-gamma|ablation-grid|ablation-hpo|ablation-priors|hotpath|serveload|dataparallel|distnet|ablations|all")
 		scale    = flag.String("scale", "small", "experiment scale: small|full")
 		model    = flag.String("model", "alex", "model for fig4/fig5/fig6/fig7/table8: alex|resnet")
 		datasets = flag.String("datasets", "", "comma-separated dataset filter for table7 (default: all 12)")
 		seed     = cli.Seed(flag.CommandLine)
 		svgDir   = flag.String("svg", "", "directory to write SVG renderings of fig3/fig5/fig6/fig7 (optional)")
 		slo      = flag.Duration("slo", bench.DefaultServeSLO, "serveload p99 latency objective (e.g. 5ms, 20ms)")
-		procs    = cli.Procs(flag.CommandLine)
 	)
 	flag.Parse()
-
-	// Pin GOMAXPROCS and the partition grain together so chunked-kernel
-	// numerics are a function of the requested width, not of where the
-	// binary runs.
-	cli.ApplyProcs(*procs)
 
 	var s bench.Scale
 	switch *scale {

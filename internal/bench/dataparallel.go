@@ -123,8 +123,8 @@ func RunDataParallel(w io.Writer, s Scale) (*DataParallelReport, error) {
 	}
 
 	sectionHeader(w, "Data-parallel Alex-shaped training (pinned shard partition)")
-	fmt.Fprintf(w, "train=%d size=%d batch=%d shard=%d epochs=%d gomaxprocs=%d num_cpu=%d partition_grain=%d\n",
-		trainN, size, batch, rep.ShardSize, epochs, env.GOMAXPROCS, env.NumCPU, env.PartitionGrain)
+	fmt.Fprintf(w, "train=%d size=%d batch=%d shard=%d epochs=%d gomaxprocs=%d num_cpu=%d\n",
+		trainN, size, batch, rep.ShardSize, epochs, env.GOMAXPROCS, env.NumCPU)
 	env.warnScaling(w)
 	t := newTable("replicas", "prefetch", "epoch s", "speedup", "efficiency", "final loss")
 	for _, c := range rep.Cases {

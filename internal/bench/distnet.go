@@ -167,8 +167,8 @@ func RunDistnet(w io.Writer, s Scale) (*DistnetReport, error) {
 	}
 
 	sectionHeader(w, "Multi-process distributed training over loopback TCP (pinned shard partition)")
-	fmt.Fprintf(w, "train=%d size=%d batch=%d shard=%d epochs=%d gomaxprocs=%d num_cpu=%d partition_grain=%d\n",
-		trainN, size, batch, rep.ShardSize, epochs, env.GOMAXPROCS, env.NumCPU, env.PartitionGrain)
+	fmt.Fprintf(w, "train=%d size=%d batch=%d shard=%d epochs=%d gomaxprocs=%d num_cpu=%d\n",
+		trainN, size, batch, rep.ShardSize, epochs, env.GOMAXPROCS, env.NumCPU)
 	fmt.Fprintf(w, "sequential baseline: %.3f s/epoch, final loss %.6f (all rows must match it exactly)\n",
 		rep.SequentialEpoch, rep.SequentialLoss)
 	env.warnScaling(w)

@@ -5,14 +5,11 @@ import (
 	"io"
 	"os"
 	"runtime"
-
-	"gmreg/internal/tensor"
 )
 
 // Env is the reproducibility header embedded in every BENCH_*.json report:
-// the resolved kernel tunables (serial cutoff, partition grain, tile shape,
-// packing cutoff and where that configuration came from) plus the host
-// facts needed to re-create a measurement on another machine.
+// the host facts needed to re-create a measurement on another machine. The
+// kernel settings are constants of the commit, so they are not recorded.
 type Env struct {
 	GoVersion  string `json:"go_version"`
 	Hostname   string `json:"hostname"`
@@ -21,32 +18,17 @@ type Env struct {
 	// EffectiveProcs is min(GOMAXPROCS, NumCPU) — the parallelism the
 	// harness can actually realize. Scaling claims require it to be ≥ 2.
 	EffectiveProcs int `json:"effective_procs"`
-	SerialCutoff   int `json:"serial_cutoff"`
-	PartitionGrain int `json:"partition_grain"`
-	TileM          int `json:"tile_m"`
-	TileN          int `json:"tile_n"`
-	SmallCutoff    int `json:"small_cutoff"`
-	// TuneSource is where the kernel tunables came from: "default", "file"
-	// (persisted autotune), "calibrated", or "manual".
-	TuneSource string `json:"tune_source"`
 }
 
-// CaptureEnv snapshots the live environment and kernel configuration.
+// CaptureEnv snapshots the live environment.
 func CaptureEnv() Env {
 	host, _ := os.Hostname()
-	mr, nr := tensor.TileShape()
 	return Env{
 		GoVersion:      runtime.Version(),
 		Hostname:       host,
 		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		NumCPU:         runtime.NumCPU(),
 		EffectiveProcs: min(runtime.GOMAXPROCS(0), runtime.NumCPU()),
-		SerialCutoff:   tensor.SerialCutoff(),
-		PartitionGrain: tensor.PartitionGrain(),
-		TileM:          mr,
-		TileN:          nr,
-		SmallCutoff:    tensor.SmallCutoff(),
-		TuneSource:     tensor.TuneSource(),
 	}
 }
 

@@ -288,9 +288,7 @@ func RunHotpath(w io.Writer, _ Scale) (*HotpathReport, error) {
 	}
 
 	sectionHeader(w, "Hot-path comparison (baseline = allocating APIs; -micro rows = PR-1 blocked kernels)")
-	fmt.Fprintf(w, "gomaxprocs=%d num_cpu=%d serial_cutoff=%d partition_grain=%d tile=%dx%d small_cutoff=%d tune=%s\n",
-		env.GOMAXPROCS, env.NumCPU, env.SerialCutoff, env.PartitionGrain,
-		env.TileM, env.TileN, env.SmallCutoff, env.TuneSource)
+	fmt.Fprintf(w, "gomaxprocs=%d num_cpu=%d\n", env.GOMAXPROCS, env.NumCPU)
 	env.warnScaling(w)
 	t := newTable("case", "base ns/op", "base allocs", "base B/op", "pooled ns/op", "pooled allocs", "pooled B/op", "speedup")
 	for _, c := range rep.Cases {

@@ -111,17 +111,6 @@ var registry = map[string]runner{
 		fmt.Fprintln(w, "wrote", ServeLoadJSONPath)
 		return nil
 	},
-	"autotune": func(w io.Writer, s Scale, _ Options) error {
-		rep, err := RunAutotune(w, s)
-		if err != nil {
-			return err
-		}
-		if err := WriteAutotuneJSON(AutotuneJSONPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", AutotuneJSONPath)
-		return nil
-	},
 	"distnet": func(w io.Writer, s Scale, _ Options) error {
 		rep, err := RunDistnet(w, s)
 		if err != nil {

@@ -8,7 +8,6 @@
 //	-shard      micro-shard size                  (gmreg-train)
 //	-prefetch   background batch assembly         (gmreg-train)
 //	-telemetry  JSONL telemetry output path       (gmreg-train)
-//	-procs      GOMAXPROCS + partition grain      (gmreg-bench)
 //	-coordinator  distnet coordinator listen addr (gmreg-train)
 //	-join         distnet coordinator to dial     (gmreg-train)
 //	-trainers     distnet trainer quorum          (gmreg-train)
@@ -16,16 +15,17 @@
 // Commands that reuse a word with a different meaning must say so in their
 // --help text: gmreg-serve's -replicas is serving replicas per model (not
 // training workers), and its own help line spells out the distinction.
+//
+// No flag sets the core count: Go reads the GOMAXPROCS environment variable,
+// and the bytes a command writes do not depend on it.
 package cli
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"gmreg/internal/obs"
-	"gmreg/internal/tensor"
 )
 
 // Seed registers the canonical -seed flag.
@@ -84,22 +84,6 @@ func Prefetch(fs *flag.FlagSet) *bool {
 // Telemetry registers the canonical -telemetry flag.
 func Telemetry(fs *flag.FlagSet) *string {
 	return fs.String("telemetry", "", "write per-epoch training telemetry (epoch loss/LR, GM mixture snapshots, merges) as JSON Lines to this file")
-}
-
-// Procs registers the canonical -procs flag; pair it with ApplyProcs after
-// parsing.
-func Procs(fs *flag.FlagSet) *int {
-	return fs.Int("procs", runtime.NumCPU(), "GOMAXPROCS (and kernel partition grain) for the run; default all cores")
-}
-
-// ApplyProcs pins GOMAXPROCS and the kernel partition grain together so
-// chunked-kernel numerics are a function of the requested width, not of
-// where the binary runs. Non-positive n is a no-op.
-func ApplyProcs(n int) {
-	if n > 0 {
-		runtime.GOMAXPROCS(n)
-		tensor.SetPartitionGrain(n)
-	}
 }
 
 // OpenTelemetry opens the -telemetry JSONL sink. An empty path returns a nil

@@ -11,20 +11,13 @@ import (
 
 // The data-parallel trainer's whole value proposition is exact numerics:
 // these tests compare weights with ==, not tolerances. A wide replica pool
-// is substituted so replicas really run concurrently even on one CPU, and
-// the partition grain is pinned so kernel chunking is identical across
-// machines.
+// is substituted so replicas really run concurrently even on one CPU.
 
 func netTestSetup(t *testing.T) *data.ImageSet {
 	t.Helper()
 	oldPool := replicaPool
 	replicaPool = &tensor.WorkerPool{Size: 4}
-	oldGrain := tensor.PartitionGrain()
-	tensor.SetPartitionGrain(4)
-	t.Cleanup(func() {
-		replicaPool = oldPool
-		tensor.SetPartitionGrain(oldGrain)
-	})
+	t.Cleanup(func() { replicaPool = oldPool })
 	spec := data.DefaultCIFAR(48, 16)
 	spec.Size = 8
 	spec.Classes = 4

@@ -12,7 +12,6 @@ import (
 	"gmreg/internal/models"
 	"gmreg/internal/nn"
 	"gmreg/internal/reg"
-	"gmreg/internal/tensor"
 	"gmreg/internal/train"
 )
 
@@ -244,12 +243,7 @@ func (c *coordinator) acceptLoop(ln net.Listener, done chan<- struct{}) {
 // admit adds a handshaken trainer to the roster and sends its Welcome.
 func (c *coordinator) admit(j joinReq) {
 	m := c.ros.add(j.conn, j.name)
-	w := Welcome{
-		Slot:           m.slot,
-		Spec:           c.cfg.Spec,
-		PartitionGrain: tensor.PartitionGrain(),
-		SerialCutoff:   tensor.SerialCutoff(),
-	}
+	w := Welcome{Slot: m.slot, Spec: c.cfg.Spec}
 	if err := c.send(m, FrameWelcome, w); err != nil {
 		c.ros.remove(m, "death", fmt.Sprintf("welcome: %v", err))
 	}

@@ -14,7 +14,6 @@ import (
 	"gmreg/internal/models"
 	"gmreg/internal/nn"
 	"gmreg/internal/reg"
-	"gmreg/internal/tensor"
 	"gmreg/internal/train"
 )
 
@@ -28,13 +27,6 @@ import (
 
 func gmFactory(m int, initStd float64) reg.Regularizer {
 	return core.MustNewGM(m, core.DefaultConfig(initStd))
-}
-
-func pinGrain(t *testing.T) {
-	t.Helper()
-	oldGrain := tensor.PartitionGrain()
-	tensor.SetPartitionGrain(4)
-	t.Cleanup(func() { tensor.SetPartitionGrain(oldGrain) })
 }
 
 // tabularJob is a small horse-colic slice run through the mlp family — the
@@ -145,7 +137,6 @@ func runJob(t *testing.T, set *data.ImageSet, spec models.Spec, sgd train.SGDCon
 // produces exactly the weights and loss history of the sequential
 // train.Network and of the in-process dist.Network.
 func TestCoordinateBitIdenticalToSequentialAndDist(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 	sgd := testSGD(3)
 
@@ -196,7 +187,6 @@ func TestCoordinateBitIdenticalToSequentialAndDist(t *testing.T) {
 // the same shard size and width — the ghost-batch-norm equivalence at
 // fixed membership.
 func TestCoordinateGhostBatchNormMatchesDist(t *testing.T) {
-	pinGrain(t)
 	cspec := data.CIFARSpec{Train: 16, Test: 4, Classes: 10, Size: 4, Channels: 1,
 		Signal: 0.9, Noise: 1.0, Waves: 2}
 	set, _ := data.GenerateCIFAR(cspec, 7)
@@ -233,7 +223,6 @@ func TestCoordinateGhostBatchNormMatchesDist(t *testing.T) {
 // re-partition the unfinished shards over the survivor, and still finish
 // with weights byte-equal to an undisturbed sequential run.
 func TestCoordinateElasticDeath(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 	sgd := testSGD(3)
 
@@ -297,7 +286,6 @@ func abruptTrainer(t *testing.T, addr string) {
 // goodbye, and immediately rejoin as a fresh member: the job sails through
 // both membership changes and the weights stay byte-equal.
 func TestCoordinateElasticLeaveAndRejoin(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 	sgd := testSGD(3)
 
@@ -327,7 +315,6 @@ func TestCoordinateElasticLeaveAndRejoin(t *testing.T) {
 // in-process data-parallel trainer writes — the cross-run comparison the
 // CI smoke job automates with cmp(1).
 func TestCoordinateCheckpointBytesMatchDist(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 
 	distDir, netDir := t.TempDir(), t.TempDir()
@@ -365,7 +352,6 @@ func TestCoordinateCheckpointBytesMatchDist(t *testing.T) {
 // remaining epochs distributed; the result must match the uninterrupted
 // run exactly.
 func TestCoordinateResume(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 
 	full := testSGD(3)

@@ -159,7 +159,6 @@ func multiProcessJob(t *testing.T, set *data.ImageSet, spec models.Spec, sgd tra
 // processes to completion: final weights byte-equal to the sequential
 // trainer, both subprocesses exit 0.
 func TestMultiProcessBitIdentical(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 	sgd := testSGD(3)
 
@@ -185,7 +184,6 @@ func TestMultiProcessBitIdentical(t *testing.T) {
 // finish every epoch, and produce final weights byte-equal to the
 // undisturbed sequential run.
 func TestMultiProcessKillMidEpoch(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 	sgd := testSGD(3) // 4 batches/epoch: step 5 is mid-epoch 2
 
@@ -208,7 +206,6 @@ func TestMultiProcessKillMidEpoch(t *testing.T) {
 // arbitrary moment after both trainers joined — whenever the SIGKILL lands,
 // the surviving process must carry the job to the same final bytes.
 func TestMultiProcessExternalKill(t *testing.T) {
-	pinGrain(t)
 	set, spec := tabularJob(t)
 	sgd := testSGD(4)
 

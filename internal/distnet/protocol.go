@@ -36,8 +36,12 @@ import (
 //	[11:43) SHA-256 of the payload
 //	[43:…)  payload (gob)
 const (
-	frameMagic   = "GMDN"
-	protoVersion = 1
+	frameMagic = "GMDN"
+	// protoVersion 2 dropped Welcome's partition grain and serial cutoff.
+	// A version-1 trainer would read them as zero, pin one chunk per
+	// reduction and silently compute other shard gradients, so it is
+	// refused at its first frame instead.
+	protoVersion = 2
 	headerLen    = 4 + 2 + 1 + 4 + sha256.Size
 
 	// MaxPayload bounds a frame's payload so a corrupt or hostile length
@@ -179,20 +183,15 @@ type Hello struct {
 }
 
 // Welcome is the coordinator's handshake reply: everything a trainer needs
-// to reproduce the coordinator's computation bit for bit — the architecture
-// to build and the kernel numerics fingerprint to pin (the chunk partition
-// of deterministic reductions is a pure function of these two tunables, so
-// matching them makes shard gradients byte-equal across processes).
+// to reproduce the coordinator's computation bit for bit. That is only the
+// architecture to build: the kernels' reduction partition is compiled in,
+// so every process computes the same shard gradients.
 type Welcome struct {
 	// Slot is the trainer's membership slot: assigned once, never reused,
 	// and the sort key of the deterministic shard assignment.
 	Slot int
 	// Spec declares the architecture the trainer must build.
 	Spec models.Spec
-	// PartitionGrain and SerialCutoff are the coordinator's deterministic-
-	// reduction tunables; the trainer adopts them before building the net.
-	PartitionGrain int
-	SerialCutoff   int
 }
 
 // Shard is one micro-shard of a global minibatch: the input rows, labels,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -67,8 +68,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestWelcomeRoundTrip(t *testing.T) {
-	w := Welcome{Slot: 3, Spec: models.Spec{Family: "mlp", In: 5, Hidden: 4, Classes: 2},
-		PartitionGrain: 8, SerialCutoff: 1 << 12}
+	w := Welcome{Slot: 3, Spec: models.Spec{Family: "mlp", In: 5, Hidden: 4, Classes: 2}}
 	raw := mustFrame(t, FrameWelcome, w)
 	_, payload, _, err := ReadFrame(bytes.NewReader(raw))
 	if err != nil {
@@ -117,14 +117,19 @@ func TestReadFrameErrors(t *testing.T) {
 		}
 	}
 
-	skew := corrupt(func(b []byte) { binary.BigEndian.PutUint16(b[4:], 99) })
-	var ve *VersionError
-	if _, _, _, err := ReadFrame(bytes.NewReader(skew)); !errors.As(err, &ve) {
-		t.Errorf("version skew: got %v, want VersionError", err)
-	} else if ve.Got != 99 || ve.Want != protoVersion {
-		t.Errorf("version skew: %+v", ve)
-	} else if !strings.Contains(ve.Error(), "99") {
-		t.Errorf("version error message: %q", ve.Error())
+	// Version 99 is a peer from the future; version 1 is a trainer built
+	// while Welcome still carried the partition grain, which would compute
+	// other shard gradients if it were let in.
+	for _, v := range []uint16{99, 1} {
+		skew := corrupt(func(b []byte) { binary.BigEndian.PutUint16(b[4:], v) })
+		var ve *VersionError
+		if _, _, _, err := ReadFrame(bytes.NewReader(skew)); !errors.As(err, &ve) {
+			t.Errorf("version %d skew: got %v, want VersionError", v, err)
+		} else if ve.Got != v || ve.Want != protoVersion {
+			t.Errorf("version %d skew: %+v", v, ve)
+		} else if !strings.Contains(ve.Error(), fmt.Sprint(v)) {
+			t.Errorf("version error message: %q", ve.Error())
+		}
 	}
 
 	// The oversized-length rejection must happen before any allocation: a

@@ -113,12 +113,6 @@ func (t *trainer) serve() error {
 	if err := decodePayload(payload, &w); err != nil {
 		return err
 	}
-	// Pin the coordinator's numerics fingerprint before building the net:
-	// the chunk partition of deterministic reductions is a pure function of
-	// these two tunables, so matching them makes this process's shard
-	// gradients byte-equal to the coordinator's own computation.
-	tensor.SetPartitionGrain(w.PartitionGrain)
-	tensor.SetSerialCutoff(w.SerialCutoff)
 	if err := w.Spec.Validate(); err != nil {
 		return fmt.Errorf("distnet: welcome spec: %w", err)
 	}

@@ -63,7 +63,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.outW = tensor.ConvOutSize(w, c.kw, c.stride, c.pad)
 	y := ensure(&c.yBuf, n, c.outC, c.outH, c.outW)
 	// Serial guard: skip closure construction when the pool won't fan out.
-	if tensor.ParallelChunks(n) <= 1 {
+	if tensor.ParallelInline(n) {
 		c.forwardRange(y, 0, n)
 	} else {
 		tensor.Parallel(n, func(lo, hi int) { c.forwardRange(y, lo, hi) })
@@ -96,8 +96,9 @@ func (c *Conv2D) forwardRange(y *tensor.Tensor, lo, hi int) {
 }
 
 // Backward implements Layer. Weight/bias gradients are accumulated into
-// per-chunk partials (one per worker-pool chunk, drawn from the arena) and
-// reduced in chunk order, so the result is deterministic and lock-free.
+// per-chunk partials (one per chunk of the fixed partition
+// tensor.ParallelChunks(n), drawn from the arena) and reduced in chunk
+// order, so the result is lock-free and the same on every host.
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	n := dy.Shape[0]
 	dx := ensure(&c.dxBuf, n, c.inC, c.inH, c.inW)

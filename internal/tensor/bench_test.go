@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func benchmarkMatMul(b *testing.B, m, k, n int) {
 	rng := NewRNG(1)
@@ -121,30 +118,4 @@ func BenchmarkRNGNormal(b *testing.B) {
 		rng.FillNormal(buf, 0, 1)
 	}
 	b.SetBytes(8 * 1024)
-}
-
-// BenchmarkParallelCutoff sweeps the serial/parallel threshold over a
-// row-scaling workload (an axpy per row, the cheapest realistic row job) so
-// the SerialCutoff default can be tuned per machine:
-//
-//	go test -bench ParallelCutoff -benchtime 100x ./internal/tensor/
-func BenchmarkParallelCutoff(b *testing.B) {
-	for _, cutoff := range []int{16, 32, 64, 128, 256} {
-		for _, rows := range []int{32, 64, 128, 512} {
-			b.Run(fmt.Sprintf("cutoff=%d/rows=%d", cutoff, rows), func(b *testing.B) {
-				SetSerialCutoff(cutoff)
-				defer SetSerialCutoff(64)
-				src := make([]float64, rows*64)
-				dst := make([]float64, rows*64)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					Parallel(rows, func(lo, hi int) {
-						for r := lo; r < hi; r++ {
-							Axpy(0.5, src[r*64:(r+1)*64], dst[r*64:(r+1)*64])
-						}
-					})
-				}
-			})
-		}
-	}
 }

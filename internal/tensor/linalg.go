@@ -2,11 +2,24 @@ package tensor
 
 import "fmt"
 
-// The MatMul family dispatches between two interchangeable kernel sets that
-// produce bit-identical results: the PR-1 cache-blocked reference kernels in
-// linalg_ref.go (also the TileM == 0 autotune fallback) and the
-// register-blocked micro-kernels in microkernel.go fed by the panel packers
-// in micro.go. The active tile shape and packing cutoff live in autotune.go.
+// The MatMul family runs the register-blocked micro-kernels in
+// microkernel.go, fed by the panel packers in micro.go. Products too small
+// to repay packing run the serial loops of linalg_ref.go, whose
+// cache-blocked kernels are also the test oracle. Every path sums each
+// output element over p in ascending order, so all are bit-identical.
+
+// Kernel settings, fixed per platform at compile time. The micro-kernel
+// tile is tileMR×tileNR: 4×4 through the SSE2/AVX kernel on amd64, 2×4
+// elsewhere (defaultTileMR). Products of fewer than smallCutoff
+// multiply-adds skip packing. tileMR and smallCutoff are variables only so
+// in-package tests can drive the portable 2×4 tile on amd64 and push tiny
+// products through the packed path; nothing else assigns them.
+const tileNR = 4
+
+var (
+	tileMR      = defaultTileMR
+	smallCutoff = 32 * 1024
+)
 
 func checkMat2(op string, a, b *Tensor) {
 	if a.Rank() != 2 || b.Rank() != 2 {
@@ -45,28 +58,23 @@ func MatMulInto(dst, a, b *Tensor) {
 }
 
 // matMulKernel is the shared C = A·B dispatcher: small products run the
-// serial axpy loop, the 0×0 tile runs the reference blocked kernel, and
-// everything else packs B into NR-wide panels once and streams the
-// register-blocked row driver over them.
+// serial axpy loop, and everything else packs B into NR-wide panels once
+// and streams the register-blocked row driver over them.
 func matMulKernel(c, a, b []float64, m, k, n int) {
-	if m*k*n < SmallCutoff() {
+	if m*k*n < smallCutoff {
 		refMatMulSerial(c, a, b, m, k, n)
 		return
 	}
-	mr, nr := TileShape()
-	if mr == 0 {
-		refMatMulKernel(c, a, b, m, k, n)
-		return
-	}
+	mr := tileMR
 	bp := DefaultArena.GetSlice(k * n)
-	packPanels(bp, b, k, n, n, nr)
+	packPanels(bp, b, k, n, n, tileNR)
 	// The serial branch calls the row driver directly: constructing the
 	// closure would heap-allocate even when it is never sent to the pool.
-	if ParallelChunks(m) <= 1 {
-		microMatMulRows(c, a, bp, 0, m, k, n, mr, nr)
+	if ParallelInline(m) {
+		microMatMulRows(c, a, bp, 0, m, k, n, mr)
 	} else {
 		Parallel(m, func(lo, hi int) {
-			microMatMulRows(c, a, bp, lo, hi, k, n, mr, nr)
+			microMatMulRows(c, a, bp, lo, hi, k, n, mr)
 		})
 	}
 	DefaultArena.PutSlice(bp)
@@ -83,17 +91,17 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	return c
 }
 
-// MatMulTransAInto computes dst = Aᵀ·B without allocating from the heap.
-// The reduction over k is split into the worker pool's deterministic chunk
-// partition; each chunk accumulates into a private partial drawn from the
-// arena and partials are summed in chunk order over disjoint row ranges —
-// lock-free and schedule-independent, unlike the old mutex merge.
+// MatMulTransAInto computes dst = Aᵀ·B. The reduction over k is split into
+// the worker pool's fixed chunk partition (Chunks(k), a function of k
+// alone); each chunk accumulates into a private partial drawn from the
+// arena, and the partials are summed in chunk order — lock-free, and the
+// same bits on every pool and every host.
 func MatMulTransAInto(dst, a, b *Tensor) {
 	matMulTransAPool(&defaultPool, dst, a, b)
 }
 
-// matMulTransAPool is MatMulTransAInto over an explicit worker pool, so the
-// multi-chunk reduction is testable on any machine.
+// matMulTransAPool is MatMulTransAInto over an explicit worker pool, so
+// tests can run the same reduction on pools of different widths.
 func matMulTransAPool(pool *WorkerPool, dst, a, b *Tensor) {
 	checkMat2("MatMulTransAInto", a, b)
 	k, m := a.Shape[0], a.Shape[1]
@@ -115,19 +123,15 @@ func matMulTransAPool(pool *WorkerPool, dst, a, b *Tensor) {
 	pool.ParallelIndexed(k, func(chunk, lo, hi int) {
 		transAAccum(partials[chunk*mn:(chunk+1)*mn], a.Data, b.Data, lo, hi, m, n)
 	})
-	// Deterministic reduce: every output row range sums the partials in
-	// ascending chunk order.
-	pool.Parallel(m, func(lo, hi int) {
-		copy(c[lo*n:hi*n], partials[lo*n:hi*n])
-		for ch := 1; ch < chunks; ch++ {
-			base := ch * mn
-			dst := c[lo*n : hi*n]
-			src := partials[base+lo*n : base+hi*n]
-			for i, v := range src {
-				dst[i] += v
-			}
+	// Deterministic reduce: every element sums the partials in ascending
+	// chunk order. At most maxChunks-1 adds per element against at least
+	// minChunk multiply-adds per chunk, so it runs serially.
+	copy(c[:mn], partials[:mn])
+	for ch := 1; ch < chunks; ch++ {
+		for i, v := range partials[ch*mn : (ch+1)*mn] {
+			c[i] += v
 		}
-	})
+	}
 	DefaultArena.PutSlice(partials)
 }
 
@@ -139,16 +143,16 @@ func matMulTransAPool(pool *WorkerPool, dst, a, b *Tensor) {
 // accumulator chain over p ascending.
 func transAAccum(local, a, b []float64, lo, hi, m, n int) {
 	kk := hi - lo
-	mr, nr := TileShape()
-	if mr == 0 || kk*m*n < SmallCutoff() {
+	if kk*m*n < smallCutoff {
 		refTransAAccum(local, a, b, lo, hi, m, n)
 		return
 	}
+	mr := tileMR
 	ap := DefaultArena.GetSlice(kk * m)
 	bp := DefaultArena.GetSlice(kk * n)
 	packPanels(ap, a[lo*m:], kk, m, m, mr)
-	packPanels(bp, b[lo*n:], kk, n, n, nr)
-	microTransAPanels(local, ap, bp, kk, m, n, mr, nr)
+	packPanels(bp, b[lo*n:], kk, n, n, tileNR)
+	microTransAPanels(local, ap, bp, kk, m, n, mr)
 	DefaultArena.PutSlice(bp)
 	DefaultArena.PutSlice(ap)
 }
@@ -181,13 +185,12 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 
 // matMulTransBKernel dispatches C = A·Bᵀ. The rows of B are the columns of
 // the effective right operand, so packRowsT re-interleaves them into exactly
-// the NR-wide panel layout microMatMulRows streams; small products and the
-// 0×0 tile keep the reference 4-wide dot kernel. Both paths sum each output
-// element over p ascending, so they are bit-identical.
+// the NR-wide panel layout microMatMulRows streams; small products keep the
+// reference 4-wide dot kernel. Both paths sum each output element over p
+// ascending, so they are bit-identical.
 func matMulTransBKernel(c, a, b []float64, m, k, n int) {
-	mr, nr := TileShape()
-	if mr == 0 || m*k*n < SmallCutoff() {
-		if ParallelChunks(m) <= 1 {
+	if m*k*n < smallCutoff {
+		if ParallelInline(m) {
 			refMatMulTransBRows(c, a, b, 0, m, k, n)
 		} else {
 			Parallel(m, func(lo, hi int) {
@@ -196,13 +199,14 @@ func matMulTransBKernel(c, a, b []float64, m, k, n int) {
 		}
 		return
 	}
+	mr := tileMR
 	bp := DefaultArena.GetSlice(n * k)
-	packRowsT(bp, b, n, k, k, nr)
-	if ParallelChunks(m) <= 1 {
-		microMatMulRows(c, a, bp, 0, m, k, n, mr, nr)
+	packRowsT(bp, b, n, k, k, tileNR)
+	if ParallelInline(m) {
+		microMatMulRows(c, a, bp, 0, m, k, n, mr)
 	} else {
 		Parallel(m, func(lo, hi int) {
-			microMatMulRows(c, a, bp, lo, hi, k, n, mr, nr)
+			microMatMulRows(c, a, bp, lo, hi, k, n, mr)
 		})
 	}
 	DefaultArena.PutSlice(bp)

@@ -3,8 +3,7 @@ package tensor
 // The PR-1 cache-blocked kernels, kept verbatim as (a) the bit-identity
 // oracle the register-blocked micro-kernels are property-tested against,
 // (b) the baseline side of the gmreg-bench micro-kernel comparison rows,
-// and (c) the fallback tile shape the autotuner can select on hosts where
-// the unrolled kernels lose (TuneConfig.TileM == 0).
+// and (c) the small-product path below smallCutoff.
 //
 // Every kernel here accumulates each output element c[i][j] over p in
 // ascending order, which is the summation-order contract the micro-kernels
@@ -23,7 +22,7 @@ const (
 // hot path). Small products run a plain serial axpy loop; larger ones pack B
 // into block-major panels and fan the row loop out on the worker pool.
 func refMatMulKernel(c, a, b []float64, m, k, n int) {
-	if m*k*n < SmallCutoff() {
+	if m*k*n < smallCutoff {
 		refMatMulSerial(c, a, b, m, k, n)
 		return
 	}
@@ -45,7 +44,7 @@ func refMatMulKernel(c, a, b []float64, m, k, n int) {
 	}
 	// The serial branch calls the row kernel directly: constructing the
 	// closure would heap-allocate even when it is never sent to the pool.
-	if ParallelChunks(m) <= 1 {
+	if ParallelInline(m) {
 		refMatMulPackedRows(c, a, packed, 0, m, k, n)
 	} else {
 		Parallel(m, func(lo, hi int) {
@@ -154,8 +153,8 @@ func refMatMulTransBRows(c, a, b []float64, lo, hi, k, n int) {
 	}
 }
 
-// RefMatMulInto runs dst = A·B through the PR-1 blocked kernel regardless of
-// the active tile configuration — the baseline side of gmreg-bench's
+// RefMatMulInto runs dst = A·B through the PR-1 blocked kernel instead of
+// the micro-kernels — the baseline side of gmreg-bench's
 // micro-kernel comparison and the oracle for the edge-shape tests.
 func RefMatMulInto(dst, a, b *Tensor) {
 	checkMat2("RefMatMulInto", a, b)
@@ -177,7 +176,7 @@ func RefMatMulTransBInto(dst, a, b *Tensor) {
 	}
 	n := b.Shape[0]
 	checkDst("RefMatMulTransBInto", dst, m, n)
-	if ParallelChunks(m) <= 1 {
+	if ParallelInline(m) {
 		refMatMulTransBRows(dst.Data, a.Data, b.Data, 0, m, k, n)
 	} else {
 		Parallel(m, func(lo, hi int) {

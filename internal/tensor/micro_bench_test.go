@@ -5,24 +5,18 @@ import (
 	"testing"
 )
 
-// Benchmarks comparing the register-blocked tile shapes against the PR-1
-// reference kernels on the hotpath harness shapes. Run with
+// Benchmarks comparing this platform's micro-kernel tile with the portable
+// 2×4 tile on the hotpath harness shapes. Run with
 //
 //	go test ./internal/tensor/ -run=NONE -bench=Micro -benchtime=200ms
 //
-// to see which tile wins on this host; the autotuner sweeps the same space.
+// gmreg-bench -exp hotpath compares the tile against the reference kernels.
 
-func benchTiles(b *testing.B, run func(b *testing.B, mr, nr int)) {
-	pm, pn := TileShape()
-	defer func() { tileShape.Store(int64(pm)<<8 | int64(pn)) }()
-	for _, t := range [][2]int{{0, 0}, {2, 4}, {4, 4}, {8, 1}} {
-		name := fmt.Sprintf("tile=%dx%d", t[0], t[1])
-		if t[0] == 0 {
-			name = "tile=ref"
-		}
-		b.Run(name, func(b *testing.B) {
-			tileShape.Store(int64(t[0])<<8 | int64(t[1]))
-			run(b, t[0], t[1])
+func benchTiles(b *testing.B, run func(b *testing.B)) {
+	for _, mr := range tileMRs() {
+		b.Run(fmt.Sprintf("tile=%dx%d", mr, tileNR), func(b *testing.B) {
+			setKernel(b, mr, smallCutoff)
+			run(b)
 		})
 	}
 }
@@ -33,7 +27,7 @@ func benchMicroMatMul(b *testing.B, m, k, n int) {
 	dst := New(m, n)
 	rng.FillNormal(a.Data, 0, 1)
 	rng.FillNormal(bb.Data, 0, 1)
-	benchTiles(b, func(b *testing.B, _, _ int) {
+	benchTiles(b, func(b *testing.B) {
 		MatMulInto(dst, a, bb)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -53,7 +47,7 @@ func BenchmarkMicroTransBConv(b *testing.B) {
 	dst := New(256, 32)
 	rng.FillNormal(a.Data, 0, 1)
 	rng.FillNormal(bb.Data, 0, 1)
-	benchTiles(b, func(b *testing.B, _, _ int) {
+	benchTiles(b, func(b *testing.B) {
 		MatMulTransBInto(dst, a, bb)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -69,7 +63,7 @@ func BenchmarkMicroTransAConv(b *testing.B) {
 	dst := New(32, 800)
 	rng.FillNormal(a.Data, 0, 1)
 	rng.FillNormal(bb.Data, 0, 1)
-	benchTiles(b, func(b *testing.B, _, _ int) {
+	benchTiles(b, func(b *testing.B) {
 		MatMulTransAInto(dst, a, bb)
 		b.ReportAllocs()
 		b.ResetTimer()

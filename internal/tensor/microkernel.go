@@ -5,8 +5,10 @@ package tensor
 // values, so the compiler keeps the whole tile in registers across the k
 // loop. Accumulator s_rc sums a[r][p]·b[p][c] over p in strictly ascending
 // order — the same per-element summation order as the reference kernels in
-// linalg_ref.go — which is what makes every tile shape bit-identical to the
-// PR-1 blocked kernels on finite inputs (DESIGN.md §12).
+// linalg_ref.go — which is what makes every tile bit-identical to the
+// blocked reference kernels on finite inputs (DESIGN.md §12). The 4×4 tile
+// is the vector kernel in microkernel_amd64.s; the pure-Go 2×4 tile serves
+// every other platform.
 //
 // This file must stay free of bounds checks: the loops are driven by slice
 // lengths (`for len(ap) >= MR && len(bp) >= NR`), which the compiler's prove
@@ -41,66 +43,6 @@ func mm2x4(ap, bp []float64,
 		bp = bp[4:]
 	}
 	return s00, s01, s02, s03, s10, s11, s12, s13
-}
-
-// mm4x4 advances a 4×4 tile. Sixteen accumulators oversubscribe the sixteen
-// amd64 XMM registers, so some spill; whether it still beats mm2x4 is
-// host-dependent, which is exactly what the autotuner sweeps.
-func mm4x4(ap, bp []float64,
-	s00, s01, s02, s03,
-	s10, s11, s12, s13,
-	s20, s21, s22, s23,
-	s30, s31, s32, s33 float64) (
-	r00, r01, r02, r03,
-	r10, r11, r12, r13,
-	r20, r21, r22, r23,
-	r30, r31, r32, r33 float64) {
-	for len(ap) >= 4 && len(bp) >= 4 {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		s00 += a0 * b0
-		s01 += a0 * b1
-		s02 += a0 * b2
-		s03 += a0 * b3
-		s10 += a1 * b0
-		s11 += a1 * b1
-		s12 += a1 * b2
-		s13 += a1 * b3
-		s20 += a2 * b0
-		s21 += a2 * b1
-		s22 += a2 * b2
-		s23 += a2 * b3
-		s30 += a3 * b0
-		s31 += a3 * b1
-		s32 += a3 * b2
-		s33 += a3 * b3
-		ap = ap[4:]
-		bp = bp[4:]
-	}
-	return s00, s01, s02, s03, s10, s11, s12, s13,
-		s20, s21, s22, s23, s30, s31, s32, s33
-}
-
-// mm8x1 advances an 8×1 tile: eight A rows against one B column. The shape
-// of choice for narrow outputs (matrix·vector and small-n products) where a
-// 4-wide B panel would mostly compute tails.
-func mm8x1(ap, bcol []float64,
-	s0, s1, s2, s3, s4, s5, s6, s7 float64) (
-	r0, r1, r2, r3, r4, r5, r6, r7 float64) {
-	for len(ap) >= 8 && len(bcol) >= 1 {
-		b := bcol[0]
-		s0 += ap[0] * b
-		s1 += ap[1] * b
-		s2 += ap[2] * b
-		s3 += ap[3] * b
-		s4 += ap[4] * b
-		s5 += ap[5] * b
-		s6 += ap[6] * b
-		s7 += ap[7] * b
-		ap = ap[8:]
-		bcol = bcol[1:]
-	}
-	return s0, s1, s2, s3, s4, s5, s6, s7
 }
 
 // mm1x4 advances a 1×4 row-tail tile: one raw A row against a 4-wide panel.

@@ -1,11 +1,10 @@
 package tensor
 
-// hasSSETile gates the packed-double 4×4 tile kernel: the drivers in
-// micro.go route the aligned interior of the (4,4) tile shape through it,
-// which is what lifts the hot path past the ~2 flops/cycle scalar SSE
-// ceiling the pure-Go kernels top out at. It also makes (4,4) the default
-// tile on amd64 (see defaultTile).
-const hasSSETile = true
+// defaultTileMR makes the tile 4×4 on amd64: the drivers in micro.go route
+// its aligned interior through the packed-double kernels below, which is
+// what lifts the hot path past the ~2 flops/cycle scalar SSE ceiling the
+// pure-Go kernels top out at.
+const defaultTileMR = 4
 
 // mm4x4sse advances a 4×4 tile over the full-k packed panels ap (4-wide A
 // interleave) and bp (4-wide B interleave) with SSE2 packed-double
@@ -13,7 +12,7 @@ const hasSSETile = true
 // accum != 0 seeds the accumulators from the C tile at c (row stride ldc
 // elements); accum == 0 seeds them with +0. The finished tile is stored
 // back to c. Per-lane IEEE semantics keep every element bit-identical to
-// the scalar mm4x4 kernel.
+// the scalar kernels.
 //
 //go:noescape
 func mm4x4sse(ap, bp *float64, k int, c *float64, ldc int, accum int)

@@ -2,11 +2,11 @@
 
 package tensor
 
-// hasSSETile is false off amd64: the (4,4) tile shape falls back to the
-// portable Go mm4x4 kernel and the default tile is (2,4).
-const hasSSETile = false
+// defaultTileMR is 2 off amd64: 2×4 is the widest pure-Go tile whose
+// accumulators stay resident in sixteen float registers.
+const defaultTileMR = 2
 
-// mm4x4tile is never called when hasSSETile is false; the stub keeps the
+// mm4x4tile is never called when the tile is 2×4; the stub keeps the
 // drivers' call sites building on every architecture.
 func mm4x4tile(ap, bp *float64, k int, c *float64, ldc int, accum int) {
 	panic("tensor: mm4x4tile is amd64-only")

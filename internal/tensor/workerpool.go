@@ -18,13 +18,20 @@ import (
 //  2. Workers never block on anything except the job channel, so a job's
 //     chunks are always drained by goroutines that are actively running.
 //
-// The chunk partition of [0, n) depends only on n and the process-wide
-// partition grain — never on the pool's width or on how many helpers
-// actually join — so callers that keep per-chunk state (per-chunk gradient
-// partials, MatMulTransA partial products) get deterministic,
-// schedule-independent results that are also identical across pools of
-// different sizes. That width-independence is what lets data-parallel
-// training (internal/dist) reproduce the sequential trainer bit for bit.
+// Callers come in two kinds, and they are split differently:
+//
+//   - Parallel callers write disjoint rows, so how [0, n) is split never
+//     changes a bit. Parallel fans out up to the pool's width, and runs f
+//     inline on a pool one worker wide or below minChunk rows.
+//   - ParallelIndexed callers keep per-chunk partial sums (the k-reduction
+//     of MatMulTransA and Conv2D's weight gradient over samples). Their
+//     partition, Chunks(n), is a compiled-in function of n alone: at most
+//     maxChunks chunks of at least minChunk rows each. It does not depend on
+//     the pool's width, GOMAXPROCS, the host or the environment, so every
+//     per-chunk reduction gives the same bits on any pool and any machine.
+//     That is what lets data-parallel (internal/dist) and multi-process
+//     (internal/distnet) training reproduce the sequential trainer bit for
+//     bit, and what makes a checkpoint independent of the core count.
 //
 // The pool is also the concurrency budget: Each lets a caller run R
 // replica bodies as pool jobs instead of spawning R goroutines, so the
@@ -32,47 +39,15 @@ import (
 // the pool size (workers + submitter) even when each body issues nested
 // Parallel calls.
 
-// serialCutoff is the row count below which Parallel runs on the calling
-// goroutine. The default was benchmark-tuned with BenchmarkParallelCutoff
-// (see bench_test.go): job post + steal overhead is ~1µs, so rows cheaper
-// than ~15ns each need n in the tens before fan-out pays for itself. It can
-// be overridden for other machines via SetSerialCutoff or the
-// GMREG_SERIAL_CUTOFF environment variable.
-var serialCutoff int64 = 64
-
-// partitionGrain is the maximum chunk count Chunks partitions a range into.
-// It is captured from GOMAXPROCS at startup (and can be pinned with
-// SetPartitionGrain, GMREG_PARTITION_GRAIN, or a persisted autotune config)
-// rather than read from each pool's width so that the partition — and
-// therefore every per-chunk floating-point reduction — is a pure function of
-// n, identical no matter which pool executes the job or how many replicas
-// share the machine. Startup initialization (defaults, then autotune file,
-// then env) lives in autotune.go's init so the precedence order is explicit.
-var partitionGrain int64
-
-// SetPartitionGrain pins the maximum chunk count used by every pool's
-// partition. Fixing it to the same value on different machines makes
-// chunked reductions bit-identical across them.
-func SetPartitionGrain(n int) {
-	if n < 1 {
-		n = 1
-	}
-	atomic.StoreInt64(&partitionGrain, int64(n))
-}
-
-// PartitionGrain returns the current partition grain.
-func PartitionGrain() int { return int(atomic.LoadInt64(&partitionGrain)) }
-
-// SetSerialCutoff overrides the minimum n for which Parallel fans out.
-func SetSerialCutoff(n int) {
-	if n < 1 {
-		n = 1
-	}
-	atomic.StoreInt64(&serialCutoff, int64(n))
-}
-
-// SerialCutoff returns the current serial/parallel threshold.
-func SerialCutoff() int { return int(atomic.LoadInt64(&serialCutoff)) }
+// minChunk is the shortest range worth a chunk of its own: the row count
+// below which Parallel runs inline, and the minimum length of a reduction
+// chunk. Job post plus steal costs about 1µs, so rows cheaper than ~15ns
+// each need n in the tens before fan-out pays for itself. maxChunks caps
+// the reduction partition: every chunk adds an m×n partial to fill and sum.
+const (
+	minChunk  = 64
+	maxChunks = 4
+)
 
 // WorkerPool is a persistent pool of worker goroutines executing chunked
 // range jobs. The zero value with a Size is usable; methods start the
@@ -125,8 +100,8 @@ func (p *WorkerPool) width() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// rangeJob is one Parallel invocation: a fixed partition of [0, n) into
-// chunks claimed by an atomic counter.
+// rangeJob is one posted Parallel, ParallelIndexed or Each invocation: a
+// fixed partition of [0, n) into chunks claimed by an atomic counter.
 type rangeJob struct {
 	n, chunk, chunks int
 	next             int64
@@ -142,11 +117,10 @@ func (j *rangeJob) run() {
 			return
 		}
 		// Clamp both bounds: with chunk = ceil(n/chunks) the last chunk
-		// indices can start past n (e.g. n=65, 16 chunks -> chunk=5, chunk
-		// 14 starts at 70). Those chunks run f with an empty range lo == hi
-		// == n, which is safe for every caller (slices [lo*c:hi*c] are
-		// empty, loops don't execute) and keeps chunk indices dense so
-		// per-chunk state sized with Chunks(n) still works.
+		// indices of a width-based Parallel split can start past n (e.g.
+		// n=65 on a 16-wide pool -> chunk=5, chunk 14 starts at 70). Those
+		// chunks run f with an empty range lo == hi == n, which is safe for
+		// every caller (slices [lo*c:hi*c] are empty, loops don't execute).
 		lo := min(c*j.chunk, j.n)
 		hi := min(lo+j.chunk, j.n)
 		j.f(c, lo, hi)
@@ -171,38 +145,39 @@ func (p *WorkerPool) start() {
 	})
 }
 
-// Chunks returns the number of chunks ParallelIndexed will partition
-// [0, n) into — callers allocating per-chunk state size it with this. The
-// partition is a pure function of n and the process-wide partition grain
-// (not the pool width), so per-chunk reductions give the same bits on any
-// pool.
+// Chunks returns the number of chunks ParallelIndexed partitions [0, n)
+// into: n/minChunk, clamped to [1, maxChunks], and 0 for an empty range.
+// Callers size per-chunk state with it. It reads neither the pool's width
+// nor any setting of the process, so per-chunk reductions give the same
+// bits on every pool and every host.
 func (p *WorkerPool) Chunks(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	grain := int(atomic.LoadInt64(&partitionGrain))
-	if grain <= 1 || int64(n) < atomic.LoadInt64(&serialCutoff) {
-		return 1
-	}
-	return min(grain, n)
+	return min(max(n/minChunk, 1), maxChunks)
 }
 
 // ParallelIndexed partitions [0, n) into Chunks(n) contiguous chunks and
 // runs f(chunk, lo, hi) for each, using the pool's workers plus the calling
 // goroutine. f is called exactly once per chunk; chunk indices are dense in
-// [0, Chunks(n)). When n does not divide evenly, trailing chunks may get an
-// empty range (lo == hi == n). It is safe to call from inside another job (nested
-// parallelism) and from multiple goroutines at once.
+// [0, Chunks(n)) and every chunk is non-empty. On a pool one worker wide
+// the chunks run in order on the caller, without posting a job. It is safe
+// to call from inside another job (nested parallelism) and from multiple
+// goroutines at once.
 func (p *WorkerPool) ParallelIndexed(n int, f func(chunk, lo, hi int)) {
 	chunks := p.Chunks(n)
 	if chunks == 0 {
 		return
 	}
-	if chunks == 1 {
-		f(0, 0, n)
+	size := (n + chunks - 1) / chunks
+	if chunks == 1 || p.width() <= 1 {
+		for c := 0; c < chunks; c++ {
+			lo := c * size
+			f(c, lo, min(lo+size, n))
+		}
 		return
 	}
-	p.submit(&rangeJob{n: n, chunk: (n + chunks - 1) / chunks, chunks: chunks, f: f})
+	p.submit(&rangeJob{n: n, chunk: size, chunks: chunks, f: f})
 }
 
 // submit posts a job, helps run it, and waits for every chunk to finish.
@@ -228,13 +203,12 @@ invite:
 }
 
 // Each runs f(i) for every i in [0, n) as n single-index pool chunks,
-// regardless of the serial cutoff and partition grain. It is the
-// concurrency-budget primitive for coarse replica fan-out: each body runs
-// on a pool worker (or the submitter), so n replicas never add goroutines
-// beyond the pool's size, and nested Parallel calls inside a body steal
-// chunks from the same fixed worker set instead of oversubscribing the
-// machine. Bodies with distinct i may run concurrently; Each returns after
-// all n have finished.
+// however small n is. It is the concurrency-budget primitive for coarse
+// replica fan-out: each body runs on a pool worker (or the submitter), so n
+// replicas never add goroutines beyond the pool's size, and nested Parallel
+// calls inside a body steal chunks from the same fixed worker set instead
+// of oversubscribing the machine. Bodies with distinct i may run
+// concurrently; Each returns after all n have finished.
 func (p *WorkerPool) Each(n int, f func(i int)) {
 	if n <= 0 {
 		return
@@ -250,11 +224,26 @@ func (p *WorkerPool) Each(n int, f func(i int)) {
 	}})
 }
 
-// Parallel runs f over contiguous sub-ranges of [0, n) concurrently; the
-// chunk index is dropped for callers that don't keep per-chunk state.
+// Parallel runs f over contiguous sub-ranges of [0, n) concurrently. The
+// ranges are disjoint and f keeps no per-chunk state, so the split is free
+// to follow the pool: one chunk per worker, or f(0, n) on the caller when
+// inline(n) holds.
 func (p *WorkerPool) Parallel(n int, f func(lo, hi int)) {
-	p.ParallelIndexed(n, func(_, lo, hi int) { f(lo, hi) })
+	if n <= 0 {
+		return
+	}
+	if p.inline(n) {
+		f(0, n)
+		return
+	}
+	chunks := min(p.width(), n)
+	p.submit(&rangeJob{n: n, chunk: (n + chunks - 1) / chunks, chunks: chunks,
+		f: func(_, lo, hi int) { f(lo, hi) }})
 }
+
+// inline reports whether Parallel(n, ·) runs on the calling goroutine: on a
+// pool one worker wide, or below minChunk rows.
+func (p *WorkerPool) inline(n int) bool { return n < minChunk || p.width() <= 1 }
 
 // defaultPool serves the package-level Parallel helpers used by the kernels
 // and the nn layers.
@@ -268,8 +257,14 @@ func Parallel(n int, f func(lo, hi int)) { defaultPool.Parallel(n, f) }
 // partition is deterministic (see WorkerPool.ParallelIndexed).
 func ParallelIndexed(n int, f func(chunk, lo, hi int)) { defaultPool.ParallelIndexed(n, f) }
 
-// ParallelChunks returns the chunk count the shared pool will use for n.
+// ParallelChunks returns the number of chunks ParallelIndexed splits n
+// into (see WorkerPool.Chunks).
 func ParallelChunks(n int) int { return defaultPool.Chunks(n) }
+
+// ParallelInline reports whether Parallel(n, f) on the shared pool runs f
+// on the calling goroutine. Callers test it to skip building a closure that
+// would never reach the pool: constructing one heap-allocates.
+func ParallelInline(n int) bool { return defaultPool.inline(n) }
 
 // Pool returns the shared process-wide worker pool so coarse-grained
 // callers (replica fan-out in internal/dist) can schedule work on the same

@@ -22,7 +22,6 @@ import (
 	"gmreg"
 	"gmreg/internal/data"
 	"gmreg/internal/models"
-	"gmreg/internal/tensor"
 	"gmreg/internal/train"
 )
 
@@ -58,16 +57,10 @@ func goldenLogReg(t *testing.T) ([]byte, []string) {
 // goldenMLP trains the shared-spec MLP on horse-colic through train.Network
 // with GM, periodic checkpoints and a sink, at the given micro-shard size
 // (0 = whole batch). Its 368 rows are 13 batches of 28 plus a ragged batch
-// of 4, which is a single shard at either size. The partition grain is
-// pinned so chunked kernel reductions, and with them the bytes, do not
-// depend on the host's core count.
+// of 4, which is a single shard at either size.
 func goldenMLP(shard int) func(*testing.T) ([]byte, []string) {
 	return func(t *testing.T) ([]byte, []string) {
 		t.Helper()
-		oldGrain := tensor.PartitionGrain()
-		tensor.SetPartitionGrain(4)
-		defer tensor.SetPartitionGrain(oldGrain)
-
 		task, err := data.LoadUCI("horse-colic", 7)
 		if err != nil {
 			t.Fatal(err)
